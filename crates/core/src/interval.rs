@@ -287,6 +287,11 @@ impl IntervalSet {
     }
 }
 
+/// Spans an [`OnlineUnion`] holds before [`OnlineUnion::retire_before`]
+/// drops the closed ones: draining in chunks keeps its cost amortised to a
+/// fraction of an insert.
+pub const RETIRE_CHUNK: usize = 64;
+
 /// Online interval union: maintains the measure of the union *as intervals
 /// arrive*, without materializing and re-sweeping the whole set.
 ///
@@ -298,10 +303,21 @@ impl IntervalSet {
 /// O(1) fast path: they either extend the rightmost span or open a new one.
 /// Out-of-order arrivals fall back to a binary search + splice, like
 /// [`IntervalSet::insert`].
+///
+/// A producer that knows no future interval starts before some instant `w`
+/// calls [`OnlineUnion::retire_before`]: spans ending before `w` can never
+/// merge again, so they are dropped while their measure stays in the
+/// total. Space is then bounded by the busy periods still open at the
+/// watermark plus [`RETIRE_CHUNK`], not by the length of the stream. The
+/// union remembers the highest watermark as a floor, and an insert
+/// starting below it panics rather than mis-merge.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OnlineUnion {
+    /// Live spans: disjoint, ascending, each ending at or after `floor`.
     spans: Vec<Interval>,
     total: Dur,
+    /// Highest watermark retired behind; no insert may start below it.
+    floor: Nanos,
 }
 
 impl OnlineUnion {
@@ -311,8 +327,20 @@ impl OnlineUnion {
     }
 
     /// Add one interval, merging it into the maintained union.
+    ///
+    /// # Panics
+    ///
+    /// If `iv` starts below the floor set by
+    /// [`OnlineUnion::retire_before`]: it might overlap a retired span, and
+    /// the union can no longer tell.
     #[inline]
     pub fn insert(&mut self, iv: Interval) {
+        assert!(
+            iv.start >= self.floor,
+            "interval starting at {} inserted below the retirement floor {}",
+            iv.start,
+            self.floor
+        );
         // Fast paths against the rightmost span.
         match self.spans.last_mut() {
             None => {
@@ -376,24 +404,45 @@ impl OnlineUnion {
         self.insert(run);
     }
 
-    /// The measure of the union so far.
+    /// Promise that no interval inserted from now on starts before `w`:
+    /// raise the floor to `w` and, once at least [`RETIRE_CHUNK`] spans
+    /// are held, drop every span ending before the floor (no later
+    /// interval can touch it). The dropped spans' measure stays in
+    /// [`OnlineUnion::total`], so the total is the same as without
+    /// retirement, bit for bit. The floor never moves down.
+    pub fn retire_before(&mut self, w: Nanos) {
+        self.floor = self.floor.max(w);
+        if self.spans.len() >= RETIRE_CHUNK {
+            let closed = self.spans.partition_point(|s| s.end < self.floor);
+            self.spans.drain(..closed);
+        }
+    }
+
+    /// The measure of the union so far, retired spans included.
     pub fn total(&self) -> Dur {
         self.total
     }
 
-    /// Number of disjoint busy periods so far.
+    /// Number of live (unretired) disjoint busy periods.
     pub fn period_count(&self) -> usize {
         self.spans.len()
     }
 
-    /// True before any insert.
+    /// True while no span is live: before any insert, or once every span
+    /// has retired.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
-    /// The disjoint, ascending spans of the union.
+    /// The live disjoint, ascending spans of the union.
     pub fn spans(&self) -> &[Interval] {
         &self.spans
+    }
+
+    /// The retirement floor: the highest watermark passed to
+    /// [`OnlineUnion::retire_before`].
+    pub fn floor(&self) -> Nanos {
+        self.floor
     }
 }
 
@@ -610,6 +659,37 @@ mod tests {
         assert_eq!(seq, batched);
         // [0,3)∪[2,5)∪[4,11)∪[10,12) fuse to [0,12); [30,31) stays apart.
         assert_eq!(seq.total(), Dur::from_millis(13));
+    }
+
+    #[test]
+    fn retirement_keeps_the_total_and_drops_closed_spans() {
+        let n = RETIRE_CHUNK as u64;
+        let mut u = OnlineUnion::new();
+        for k in 0..n - 1 {
+            u.insert(iv(k * 10, k * 10 + 3));
+        }
+        u.retire_before(ms(10 * n));
+        // Below the chunk: the floor rises, nothing is dropped yet.
+        assert_eq!(u.period_count(), RETIRE_CHUNK - 1);
+        assert_eq!(u.floor(), ms(10 * n));
+        u.insert(iv(10 * n, 10 * n + 10));
+        u.insert(iv(10 * n + 5, 10 * n + 20));
+        u.retire_before(ms(10 * n + 12));
+        // Every span but the open [10n, 10n+20) closed before 10n+12.
+        assert_eq!(u.spans(), &[iv(10 * n, 10 * n + 20)]);
+        u.retire_before(ms(5)); // stale watermark: the floor never drops
+        assert_eq!(u.floor(), ms(10 * n + 12));
+        assert_eq!(u.total(), Dur::from_millis(3 * (n - 1) + 20));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the retirement floor")]
+    fn insert_below_the_floor_panics() {
+        let mut u = OnlineUnion::new();
+        u.insert(iv(0, 2));
+        u.retire_before(ms(5));
+        // Overlaps nothing live, but might have overlapped a retired span.
+        u.insert(iv(4, 6));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! accesses": nothing in `B / T` requires holding the full trace. A
 //! [`RecordSink`] receives each [`IoRecord`] as the access completes;
 //! [`Trace`] implements it by materializing records as before, while
-//! [`StreamingMetrics`] folds each record into constant-size accumulators
-//! — per-layer counts, byte/block sums, summed response time, and an
+//! [`StreamingMetrics`] folds each record into small accumulators —
+//! per-layer counts, byte/block sums, summed response time, and an
 //! [`OnlineUnion`] for the overlapped time — and reproduces the four paper
-//! metrics bit-for-bit without ever storing a record.
+//! metrics bit-for-bit without ever storing a record. A producer that can
+//! promise a watermark (no later record starts before it) passes it to
+//! [`RecordSink::retire_before`], which keeps the union's size bounded by
+//! the busy periods still open.
 
 use crate::batch::RecordBatch;
 use crate::interval::{Interval, OnlineUnion};
@@ -31,11 +34,12 @@ pub trait RecordSink {
     ///
     /// Must be observationally identical to calling
     /// [`RecordSink::on_record`] once per record in order (the default
-    /// does exactly that). Producers that complete several accesses in one
-    /// step — a striped read fanning out to many servers, one simulated
-    /// wake — should prefer this entry point: it crosses the sink
-    /// abstraction once per batch instead of once per record, and lets
-    /// implementations amortize per-record bookkeeping.
+    /// does exactly that). Producers holding many records at once — a
+    /// replayed trace, a synthetic stream — may prefer this entry point:
+    /// it crosses the sink abstraction once per batch instead of once per
+    /// record, and lets implementations amortize per-record bookkeeping.
+    /// The simulation delivers each record through `on_record` as it
+    /// completes.
     fn push_batch(&mut self, records: &[IoRecord]) {
         for r in records {
             self.on_record(r);
@@ -60,6 +64,13 @@ pub trait RecordSink {
     /// Called at most once, after the last record. The default ignores it.
     fn on_execution_time(&mut self, t: Dur) {
         let _ = t;
+    }
+
+    /// The producer promises that no record observed from now on starts
+    /// before `w`, so state kept only to merge with earlier records may be
+    /// dropped. Must not change any result. The default ignores it.
+    fn retire_before(&mut self, w: Nanos) {
+        let _ = w;
     }
 }
 
@@ -106,6 +117,11 @@ impl<A: RecordSink, B: RecordSink> RecordSink for Tee<A, B> {
         self.0.on_execution_time(t);
         self.1.on_execution_time(t);
     }
+
+    fn retire_before(&mut self, w: Nanos) {
+        self.0.retire_before(w);
+        self.1.retire_before(w);
+    }
 }
 
 /// Constant-size accumulator for one observation layer.
@@ -131,10 +147,13 @@ impl LayerAcc {
 /// The shared stream accumulator every [`MetricFold`] finishes from.
 ///
 /// Equivalent to collecting a [`Trace`] and calling `Metric::compute` on
-/// it, but in O(1) space per record (amortized; the interval union keeps
-/// one entry per disjoint busy period) for any selection whose
-/// [`FoldNeeds`] is [`FoldNeeds::NONE`] — the default, and all the paper
-/// four need. Every core accumulator is integer-valued (counts, bytes,
+/// it, without storing records for any selection whose [`FoldNeeds`] is
+/// [`FoldNeeds::NONE`] — the default, and all the paper four need. The
+/// interval unions keep one entry per disjoint busy period, which for a
+/// sequential stream is one per record; under a producer's watermark
+/// ([`RecordSink::retire_before`]) they keep only the busy periods still
+/// live, retiring closed ones once
+/// [`RETIRE_CHUNK`](crate::interval::RETIRE_CHUNK) are held. Every core accumulator is integer-valued (counts, bytes,
 /// blocks, nanoseconds), so the final floating-point divisions see exactly
 /// the operands the trace-based path computes: results are bit-for-bit
 /// equal, not merely close.
@@ -293,6 +312,17 @@ impl StreamingMetrics {
             Layer::Application => self.app.union.total(),
             Layer::FileSystem => self.fs.union.total(),
             Layer::Device | Layer::Network | Layer::Retry => Dur::ZERO,
+        }
+    }
+
+    /// Busy periods the overlapped-time union at a layer still holds:
+    /// those not yet retired behind a watermark. Zero for `Device`,
+    /// `Network` and `Retry`, which keep no union.
+    pub fn live_periods(&self, layer: Layer) -> usize {
+        match layer {
+            Layer::Application => self.app.union.period_count(),
+            Layer::FileSystem => self.fs.union.period_count(),
+            Layer::Device | Layer::Network | Layer::Retry => 0,
         }
     }
 
@@ -509,6 +539,11 @@ impl RecordSink for StreamingMetrics {
     fn on_execution_time(&mut self, t: Dur) {
         self.exec_time = Some(t);
     }
+
+    fn retire_before(&mut self, w: Nanos) {
+        self.app.union.retire_before(w);
+        self.fs.union.retire_before(w);
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +694,23 @@ mod tests {
         assert_eq!(tee.0.len(), 2);
         assert_eq!(tee.1.len(), 2);
         assert_eq!(Bps.compute(&tee.0), tee.1.bps());
+    }
+
+    #[test]
+    fn tee_forwards_watermarks_to_both_sinks() {
+        let n = crate::interval::RETIRE_CHUNK as u64;
+        let mut tee = Tee(StreamingMetrics::new(), StreamingMetrics::new());
+        for k in 0..n {
+            tee.on_record(&rec(0, Layer::Application, 512, k * 10, k * 10 + 5));
+        }
+        tee.retire_before(Nanos::from_micros(10 * (n - 1)));
+        for s in [&tee.0, &tee.1] {
+            assert_eq!(s.live_periods(Layer::Application), 1);
+            assert_eq!(
+                s.overlapped_io_time(Layer::Application),
+                Dur::from_micros(5 * n)
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! Property tests for the overlapped-time algebra — the heart of BPS.
 
-use bps_core::interval::{paper_union_time, union_time, ConcurrencyProfile, Interval, IntervalSet};
+use bps_core::interval::{
+    paper_union_time, union_time, ConcurrencyProfile, Interval, IntervalSet, OnlineUnion,
+    RETIRE_CHUNK,
+};
 use bps_core::time::{Dur, Nanos};
 use proptest::prelude::*;
 
 /// Arbitrary interval with bounded coordinates so sums never overflow.
 fn interval() -> impl Strategy<Value = Interval> {
     (0u64..1_000_000, 0u64..100_000)
+        .prop_map(|(start, len)| Interval::new(Nanos(start), Nanos(start + len)))
+}
+
+/// Short intervals spread wide, so a long stream keeps many disjoint busy
+/// periods.
+fn short_interval() -> impl Strategy<Value = Interval> {
+    (0u64..1_000_000, 0u64..2_000)
         .prop_map(|(start, len)| Interval::new(Nanos(start), Nanos(start + len)))
 }
 
@@ -122,5 +132,65 @@ proptest! {
         let tab = union_time(a.iter().chain(b.iter()).copied());
         prop_assert!(tab <= ta + tb);
         prop_assert!(tab >= ta.max(tb));
+    }
+
+    /// Retiring behind any legal watermark — one no later interval starts
+    /// before — leaves the total bit-for-bit equal to the unretired
+    /// union's, on streams in arbitrary order. The live spans are a suffix
+    /// of the unretired spans holding every span that ends at or after
+    /// the floor; right after a retirement they are exactly those, or
+    /// fewer than `RETIRE_CHUNK`.
+    #[test]
+    fn retirement_is_invisible(
+        ivs in proptest::collection::vec(short_interval(), 0..400),
+        cuts in proptest::collection::vec((any::<bool>(), 0u64..50_000), 400),
+    ) {
+        // legal[i]: the highest watermark no interval from i on starts before.
+        let mut legal = vec![Nanos::MAX; ivs.len() + 1];
+        for i in (0..ivs.len()).rev() {
+            legal[i] = legal[i + 1].min(ivs[i].start);
+        }
+        let mut full = OnlineUnion::new();
+        let mut retired = OnlineUnion::new();
+        for (i, &iv) in ivs.iter().enumerate() {
+            full.insert(iv);
+            retired.insert(iv);
+            let (retire, back) = cuts[i];
+            if retire {
+                retired.retire_before(Nanos(legal[i + 1].0.saturating_sub(back)));
+            }
+            prop_assert_eq!(retired.total(), full.total());
+            prop_assert!(full.spans().ends_with(retired.spans()));
+            let open = full.spans().iter().filter(|s| s.end >= retired.floor()).count();
+            prop_assert!(retired.period_count() >= open);
+            if retire {
+                // A retirement either drained to the open spans or held
+                // fewer than a chunk.
+                prop_assert!(retired.period_count() == open || retired.period_count() < RETIRE_CHUNK);
+            }
+        }
+        prop_assert_eq!(retired.total(), union_time(ivs.iter().copied()));
+    }
+
+    /// A simulation-shaped stream — intervals issued at nondecreasing
+    /// instants, each retired behind its issue instant — holds fewer than
+    /// `RETIRE_CHUNK` live spans after every retirement, however long it
+    /// runs: every earlier span but one ended before the instant.
+    #[test]
+    fn retirement_bounds_live_spans(
+        steps in proptest::collection::vec((0u64..5_000, 0u64..20_000), 1..1_000),
+    ) {
+        let mut u = OnlineUnion::new();
+        let mut full = OnlineUnion::new();
+        let mut now = 0;
+        for (gap, len) in steps {
+            now += gap;
+            let iv = Interval::new(Nanos(now), Nanos(now + len));
+            u.insert(iv);
+            full.insert(iv);
+            u.retire_before(Nanos(now));
+            prop_assert!(u.period_count() < RETIRE_CHUNK, "{} live spans", u.period_count());
+        }
+        prop_assert_eq!(u.total(), full.total());
     }
 }

@@ -2,7 +2,7 @@
 //! materialize-then-compute path — bit-for-bit, not approximately.
 
 use bps_core::batch::RecordBatch;
-use bps_core::interval::{union_time, Interval, OnlineUnion};
+use bps_core::interval::{union_time, Interval, OnlineUnion, RETIRE_CHUNK};
 use bps_core::metrics::{registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, Metric};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::sink::{RecordSink, StreamingMetrics};
@@ -338,5 +338,52 @@ proptest! {
         bat.insert_all(&ivs);
         prop_assert_eq!(seq.total(), bat.total());
         prop_assert_eq!(seq.spans(), bat.spans());
+    }
+
+    /// A watermark-retiring sink still equals the materialized trace bit
+    /// for bit. The stream is simulation-shaped: record `i` is issued at a
+    /// nondecreasing instant `now_i` and starts up to 3 µs after it, so
+    /// starts arrive out of order, and `now_i` is a legal watermark once
+    /// record `i` is in. Streams are long enough to hold more than
+    /// `RETIRE_CHUNK` busy periods, so retirement really runs.
+    #[test]
+    fn retiring_stream_equals_materialized(
+        steps in proptest::collection::vec(
+            (0u32..4, 0u64..5_000, 0u64..3_000, 0u64..3_000, 1u64..1_000_000, 0usize..3),
+            128..400,
+        ),
+    ) {
+        let mut trace = Trace::new();
+        let mut stream = StreamingMetrics::with_needs(FoldNeeds::ALL);
+        let mut now = 0;
+        for (pid, gap, lag, len, bytes, shape) in steps {
+            now += gap;
+            let layer = [Layer::Application, Layer::FileSystem, Layer::Device][shape];
+            let r = IoRecord::new(
+                ProcessId(pid),
+                IoOp::Read,
+                FileId(0),
+                0,
+                bytes,
+                Nanos(now + lag),
+                Nanos(now + lag + len),
+                layer,
+            );
+            trace.on_record(&r);
+            stream.on_record(&r);
+            stream.retire_before(Nanos(now));
+        }
+        for m in registry().all() {
+            prop_assert_eq!(
+                bits(m.compute(&trace)),
+                bits(m.finish(&stream)),
+                "{}: compute vs retiring stream", m.name()
+            );
+        }
+        prop_assert_eq!(trace.execution_time(), stream.execution_time());
+        for layer in [Layer::Application, Layer::FileSystem] {
+            prop_assert_eq!(trace.overlapped_io_time(layer), stream.overlapped_io_time(layer));
+            prop_assert!(stream.live_periods(layer) <= RETIRE_CHUNK);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! assembles the simulated cluster and file system, binds the workload's
 //! files, drives all processes to completion, and returns the collected
 //! multi-layer trace. [`run_case_streaming`] runs the same case through
-//! [`StreamingMetrics`] instead — constant space, identical numbers.
+//! [`StreamingMetrics`] instead — bounded space, identical numbers.
 //! [`CasePoint`] averages the four paper metrics over repeated seeded
 //! runs, as the paper averages 5 runs per case.
 

@@ -41,6 +41,14 @@ pub struct CollectiveState {
     arrivals: Vec<CollectiveArrival>,
 }
 
+impl CollectiveState {
+    /// Arrival instant of the earliest process parked at the barrier, if
+    /// any: its application record will start there.
+    pub(crate) fn earliest_arrival(&self) -> Option<Nanos> {
+        self.arrivals.iter().map(|a| a.at).min()
+    }
+}
+
 /// What the arriving process should do next.
 #[derive(Debug)]
 pub enum CollectiveOutcome {

@@ -79,6 +79,7 @@ impl AppProcess {
                     Ok(done) => Wake::At(done),
                     Err(e) => {
                         let at = e.fail_time().unwrap_or(now);
+                        stack.close_call(pending.started);
                         self.pending = None;
                         stack.abandoned_ops += 1;
                         Wake::At(at + self.cpu_per_op)
@@ -87,6 +88,7 @@ impl AppProcess {
             }
             None => {
                 let pending = self.pending.take().expect("pending call");
+                stack.close_call(pending.started);
                 // Copying the requested pieces out of the sieve buffers.
                 let end = if pending.sieved {
                     now + Dur::from_secs_f64(pending.moved as f64 / stack.memcpy_rate as f64)
@@ -112,9 +114,8 @@ impl AppProcess {
         self
     }
 
-    /// One wake's worth of work; the public [`Process::wake`] wraps this in
-    /// a batch scope so every record the wake completes reaches the sink as
-    /// one [`RecordSink::push_batch`] call.
+    /// One wake's worth of work; the public [`Process::wake`] closes the
+    /// wake on the stack afterwards.
     fn dispatch<S: RecordSink>(
         &mut self,
         now: Nanos,
@@ -146,6 +147,7 @@ impl AppProcess {
             }
             Some(AppOp::ReadNoncontig { file, regions }) => {
                 let plan = stack.plan_noncontig(&regions);
+                stack.open_call(now);
                 self.pending = Some(PendingNoncontig {
                     file: self.files[file],
                     fs_reads: plan.fs_reads.into_iter().collect(),
@@ -200,12 +202,10 @@ impl<S: RecordSink> Process<IoStack<S>> for AppProcess {
     }
 
     fn wake(&mut self, now: Nanos, stack: &mut IoStack<S>, waker: &mut Waker) -> Wake {
-        // Per-wake batching: everything this wake completes — covering
-        // reads, retries, device records, the application record — is
-        // delivered to the sink as one batch when the scope closes.
-        stack.cluster.begin_batch();
+        // Records reach the sink as they complete; closing the wake hands
+        // the sink the watermark behind which it may retire state.
         let wake = self.dispatch(now, stack, waker);
-        stack.cluster.end_batch();
+        stack.end_wake(now);
         wake
     }
 }

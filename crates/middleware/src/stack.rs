@@ -119,7 +119,7 @@ impl<S: RecordSink> RetryIo for BackendRetry<'_, S> {
 ///
 /// Generic over the [`RecordSink`] observing the record stream: the
 /// default [`Trace`] materializes every record as before, while e.g.
-/// [`bps_core::sink::StreamingMetrics`] folds them into constant-size
+/// [`bps_core::sink::StreamingMetrics`] folds them into small
 /// accumulators as each request completes.
 pub struct IoStack<S: RecordSink = Trace> {
     /// The simulated machines and the record sink being fed.
@@ -141,6 +141,9 @@ pub struct IoStack<S: RecordSink = Trace> {
     /// diagnostic; stays 0 on a healthy cluster).
     pub abandoned_ops: u64,
     prefetch_states: HashMap<(ProcessId, FileId), PrefetchState>,
+    /// Start instants of multi-wake application calls still in flight:
+    /// their application records will start there.
+    open_calls: Vec<Nanos>,
 }
 
 impl<S: RecordSink> IoStack<S> {
@@ -156,6 +159,7 @@ impl<S: RecordSink> IoStack<S> {
             retry: RetryPolicy::default(),
             abandoned_ops: 0,
             prefetch_states: HashMap::new(),
+            open_calls: Vec::new(),
         }
     }
 
@@ -226,9 +230,6 @@ impl<S: RecordSink> IoStack<S> {
         extent: Extent,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        // One batch scope per call: the issued FS/device/retry records and
-        // the application record reach the sink as a single batch.
-        self.cluster.begin_batch();
         let result = match self.prefetch {
             Some(cfg) => {
                 let file_size = self.backend.file_size(file);
@@ -242,7 +243,7 @@ impl<S: RecordSink> IoStack<S> {
             }
             None => self.issue(pid, client, file, extent, IoOp::Read, now),
         };
-        let out = match result {
+        match result {
             Ok(done) => {
                 self.record_app(pid, file, extent.offset, extent.len, IoOp::Read, now, done);
                 Ok(done)
@@ -251,9 +252,7 @@ impl<S: RecordSink> IoStack<S> {
                 self.abandoned_ops += 1;
                 Err(e)
             }
-        };
-        self.cluster.end_batch();
-        out
+        }
     }
 
     /// POSIX-style contiguous write. Returns the completion instant, or
@@ -266,8 +265,7 @@ impl<S: RecordSink> IoStack<S> {
         extent: Extent,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        self.cluster.begin_batch();
-        let out = match self.issue(pid, client, file, extent, IoOp::Write, now) {
+        match self.issue(pid, client, file, extent, IoOp::Write, now) {
             Ok(done) => {
                 self.record_app(pid, file, extent.offset, extent.len, IoOp::Write, now, done);
                 Ok(done)
@@ -276,9 +274,7 @@ impl<S: RecordSink> IoStack<S> {
                 self.abandoned_ops += 1;
                 Err(e)
             }
-        };
-        self.cluster.end_batch();
-        out
+        }
     }
 
     /// Plan a noncontiguous read under this stack's sieving configuration.
@@ -333,14 +329,12 @@ impl<S: RecordSink> IoStack<S> {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         let plan = plan_read(regions, &self.sieving);
-        self.cluster.begin_batch();
         let mut t = now;
         for fs_read in &plan.fs_reads {
             t = match self.issue(pid, client, file, *fs_read, IoOp::Read, t) {
                 Ok(done) => done,
                 Err(e) => {
                     self.abandoned_ops += 1;
-                    self.cluster.end_batch();
                     return Err(e);
                 }
             };
@@ -351,8 +345,40 @@ impl<S: RecordSink> IoStack<S> {
         }
         let first_offset = regions.first().map(|r| r.offset).unwrap_or(0);
         self.record_app(pid, file, first_offset, plan.required, IoOp::Read, now, t);
-        self.cluster.end_batch();
         Ok(t)
+    }
+
+    /// Register an application call that spans several wakes, begun at
+    /// `start`: its record, still to come, starts there, so
+    /// [`IoStack::end_wake`] holds the watermark back until
+    /// [`IoStack::close_call`].
+    pub(crate) fn open_call(&mut self, start: Nanos) {
+        self.open_calls.push(start);
+    }
+
+    /// Deregister a call registered with [`IoStack::open_call`].
+    pub(crate) fn close_call(&mut self, start: Nanos) {
+        let i = self
+            .open_calls
+            .iter()
+            .position(|&t| t == start)
+            .expect("close_call without a matching open_call");
+        self.open_calls.swap_remove(i);
+    }
+
+    /// Close one engine wake at `now`. Every record a later wake produces
+    /// starts at or after that wake's time (≥ `now`), except the records
+    /// of calls still in flight: open multi-wake calls and processes
+    /// parked at a collective barrier. The watermark is `now` held back to
+    /// the earliest of those; the sink may retire what ends before it.
+    pub(crate) fn end_wake(&mut self, now: Nanos) {
+        let w = self
+            .open_calls
+            .iter()
+            .copied()
+            .chain(self.collective.earliest_arrival())
+            .fold(now, Ord::min);
+        self.cluster.end_wake(w);
     }
 
     /// Finish a run: stamp the application execution time into the sink and
@@ -362,11 +388,6 @@ impl<S: RecordSink> IoStack<S> {
     where
         S: Default,
     {
-        debug_assert_eq!(
-            self.cluster.batch_depth(),
-            0,
-            "finish inside an open batch scope would lose buffered records"
-        );
         self.cluster.sink.on_execution_time(exec_time);
         std::mem::take(&mut self.cluster.sink)
     }

@@ -42,6 +42,19 @@ proptest! {
         prop_assert_eq!(r.stats().ops, reqs.len() as u64);
     }
 
+    /// A one-channel resource grants exactly what a plain FIFO server
+    /// does, with the same counters.
+    #[test]
+    fn single_channel_is_fifo(reqs in arrivals()) {
+        let mut fifo = FifoResource::new();
+        let mut single = MultiChannel::new(1);
+        for &(arr, svc) in &reqs {
+            let (at, service) = (Nanos(arr * 1000), Dur(svc * 1000));
+            prop_assert_eq!(single.acquire(at, service), fifo.acquire(at, service));
+        }
+        prop_assert_eq!(single.stats(), fifo.stats());
+    }
+
     /// A k-channel resource is never slower than a 1-channel one and never
     /// faster than the sum of work divided by k allows.
     #[test]

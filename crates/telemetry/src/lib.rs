@@ -33,7 +33,7 @@ pub enum Counter {
     EngineWakes,
     /// I/O records emitted into record sinks.
     SinkRecords,
-    /// Record batches flushed by the cluster wake loop.
+    /// Process wakes that delivered at least one record to the sink.
     SinkBatches,
     /// In-process memo (L1) cache hits in the scenario engine.
     CacheL1Hits,
@@ -124,7 +124,7 @@ impl Counter {
         match self {
             Counter::EngineWakes => "simulator process wake-ups across all runs",
             Counter::SinkRecords => "I/O records emitted into record sinks",
-            Counter::SinkBatches => "record batches flushed by the cluster wake loop",
+            Counter::SinkBatches => "process wakes that delivered at least one record to the sink",
             Counter::CacheL1Hits => "in-process memo (L1) hits in the scenario engine",
             Counter::CacheL1Misses => "in-process memo (L1) misses in the scenario engine",
             Counter::CacheL2Hits => "persistent case-store (L2) hits",
