@@ -246,6 +246,39 @@ mod tests {
     }
 
     #[test]
+    fn large_json_trace_roundtrips_in_linear_time() {
+        const LAYERS: [Layer; 5] = [
+            Layer::Application,
+            Layer::FileSystem,
+            Layer::Device,
+            Layer::Retry,
+            Layer::Network,
+        ];
+        let mut t = Trace::new();
+        for i in 0..16 * 1024u64 {
+            t.push(IoRecord::new(
+                ProcessId((i % 7) as u32),
+                if i % 2 == 0 { IoOp::Read } else { IoOp::Write },
+                FileId((i % 3) as u32),
+                i * 4096,
+                4096 + i,
+                Nanos(i * 1_000),
+                Nanos(i * 1_000 + 1 + i % 997),
+                LAYERS[(i % 5) as usize],
+            ));
+        }
+        let start = std::time::Instant::now();
+        let json = to_json(&t).unwrap();
+        let back = from_json(&json).unwrap();
+        let took = start.elapsed();
+        assert_eq!(t.records(), back.records());
+        // A linear parser does this in well under a second even in a debug
+        // build; one that rescans the rest of the input per char takes
+        // minutes.
+        assert!(took.as_secs_f64() < 5.0, "16 Ki-record JSON took {took:?}");
+    }
+
+    #[test]
     fn binary_record_is_exactly_32_bytes() {
         let t = sample();
         let bin = to_binary(&t);
