@@ -85,7 +85,16 @@ impl Dur {
         if s <= 0.0 {
             return Dur::ZERO;
         }
-        Dur((s * NANOS_PER_SEC as f64).round() as u64)
+        let x = s * NANOS_PER_SEC as f64;
+        // `f64::round` is a library call on some targets. Below 2^63 the
+        // integer part `i` is exact and so is `x - i` (Sterbenz), so
+        // rounding half away from zero is one compare. Larger values,
+        // +inf and NaN keep `round`; the result is identical everywhere.
+        if x < 9_223_372_036_854_775_808.0 {
+            let i = x as u64;
+            return Dur(i + u64::from(x - i as f64 >= 0.5));
+        }
+        Dur(x.round() as u64)
     }
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {

@@ -345,6 +345,80 @@ fn check_names_the_offending_field_on_a_type_mismatch() {
 }
 
 #[test]
+fn check_rejects_a_fault_on_a_server_the_case_lacks() {
+    // A fault aimed past the last server used to be dropped silently and
+    // the run printed healthy-cluster numbers. Each server-naming field is
+    // refused with its path and the case's server count — exit class 3.
+    let dir = std::env::temp_dir().join("bps_cli_golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = |name: &str, storage: &str, fault: &str| {
+        format!(
+            r#"{{
+          "name": "{name}", "title": "t", "output": "Cc",
+          "base": {{
+            "storage": {storage},
+            "workload": {{ "Iozone": {{ "mode": "SeqRead",
+              "file_size": {{ "Abs": {{ "n": 1048576 }} }},
+              "record_size": {{ "Abs": {{ "n": 65536 }} }},
+              "processes": 1, "seed": 0 }} }},
+            "fault": {{ "seed": 1, {fault} }}
+          }},
+          "grid": {{ "dims": [[ {{ "label": "x", "patch": {{}} }} ]] }},
+          "expect": []
+        }}"#
+        )
+    };
+    let pvfs = r#"{ "Pvfs": { "servers": 4 } }"#;
+    let train = |server| {
+        format!(
+            r#"[{{ "server": {server}, "width_ms": 5, "period_ms": 50, "phase_ms": 0, "cycles": 10 }}]"#
+        )
+    };
+    for (name, storage, slowdowns, device_errors, trains, message) in [
+        (
+            "stray-slowdown",
+            pvfs,
+            r#"[{ "server": 2, "factor": 2.5 }, { "server": 9, "factor": 2.5 }]"#,
+            "[]",
+            train(7),
+            "fault.slowdowns[1].server is 9, but the case has 4 servers",
+        ),
+        (
+            "stray-hotspot",
+            r#""Hdd""#,
+            "[]",
+            r#"[{ "Uniform": { "rate": 0.1 } }, { "Server": { "server": 1, "rate": 0.2 } }]"#,
+            "[]".to_string(),
+            "fault.device_errors[1].server is 1, but the case has 1 server",
+        ),
+        (
+            "stray-outage",
+            pvfs,
+            "[]",
+            "[]",
+            train(7),
+            "fault.outage_trains[0].server is 7, but the case has 4 servers",
+        ),
+    ] {
+        let fault = format!(
+            r#""slowdowns": {slowdowns}, "device_errors": {device_errors}, "outage_trains": {trains}"#
+        );
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, scenario(name, storage, &fault)).unwrap();
+        let out = reproduce(&["check", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(3), "{name}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "error: {}: at --tiny: scenario `{name}`, case `x`: {message}\n",
+                path.display()
+            )
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn custom_topology_scenario_matches_its_golden() {
     // The whole point of the topology layer: a stack no figure ever
     // hardcoded (prefetch -> 4-server PFS -> lossy net -> SSD), declared

@@ -70,6 +70,8 @@ pub struct Hdd {
     profile: HddProfile,
     /// LBA one past the end of the last request (streaming detector).
     head_lba: u64,
+    /// The last `(bytes, transfer time)` pair.
+    memo: (u64, Dur),
 }
 
 impl Hdd {
@@ -78,6 +80,7 @@ impl Hdd {
         Hdd {
             profile,
             head_lba: 0,
+            memo: (0, Dur::ZERO),
         }
     }
 
@@ -94,8 +97,12 @@ impl Hdd {
         Dur::from_secs_f64(t2t + (full - t2t) * frac.sqrt())
     }
 
-    fn transfer_time(&self, bytes: u64) -> Dur {
-        Dur::from_secs_f64(bytes as f64 / self.profile.sustained_rate as f64)
+    fn transfer_time(&mut self, bytes: u64) -> Dur {
+        if self.memo.0 != bytes {
+            let t = Dur::from_secs_f64(bytes as f64 / self.profile.sustained_rate as f64);
+            self.memo = (bytes, t);
+        }
+        self.memo.1
     }
 }
 
@@ -253,6 +260,29 @@ mod tests {
         let transfer = Dur::from_secs_f64(4096.0 / 95e6);
         assert!(t >= Dur::from_micros(60) + transfer - Dur(10));
         assert!(t <= Dur::from_micros(60) + transfer + Dur(10));
+    }
+
+    #[test]
+    fn alternating_sizes_price_like_a_fresh_disk() {
+        // The transfer-time memo must never leak one size's time into
+        // another's: every request, sequential, near or far, prices as on
+        // a fresh disk with the same head position and RNG state.
+        let profile = HddProfile::sata_7200_250gb();
+        let mut hdd = Hdd::new(profile.clone());
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut lba = 0;
+        for (i, blocks) in [8u64, 128, 8, 8, 16_384, 128, 1, 8].into_iter().enumerate() {
+            let req = read(lba, blocks);
+            let mut fresh = Hdd {
+                head_lba: hdd.head_lba,
+                ..Hdd::new(profile.clone())
+            };
+            let mut fresh_rng = rng.clone();
+            let want = fresh.service_time(&req, &mut ctx(&mut fresh_rng, false, DiskSched::Fifo));
+            let got = hdd.service_time(&req, &mut ctx(&mut rng, false, DiskSched::Fifo));
+            assert_eq!(got, want, "request {i}: {blocks} blocks at {lba}");
+            lba = [lba + blocks, 0, 40_000_000][i % 3];
+        }
     }
 
     #[test]

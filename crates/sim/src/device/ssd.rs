@@ -43,17 +43,23 @@ impl SsdProfile {
     }
 }
 
-/// A flash SSD. Stateless between requests — no head, no rotation.
+/// A flash SSD. Stateless between requests — no head, no rotation; it
+/// only remembers its last transfer time.
 #[derive(Debug, Clone)]
 pub struct Ssd {
     profile: SsdProfile,
+    /// The last `(bytes, transfer time)` pair.
+    memo: (u64, Dur),
 }
 
 impl Ssd {
     /// New SSD from a profile.
     pub fn new(profile: SsdProfile) -> Self {
         assert!(profile.channels >= 1, "SSD needs at least one channel");
-        Ssd { profile }
+        Ssd {
+            profile,
+            memo: (0, Dur::ZERO),
+        }
     }
 }
 
@@ -67,8 +73,12 @@ impl DeviceModel for Ssd {
             IoOp::Read => self.profile.read_latency,
             IoOp::Write => self.profile.write_latency,
         };
-        let transfer = Dur::from_secs_f64(req.bytes() as f64 / self.profile.channel_rate as f64);
-        latency + transfer
+        let bytes = req.bytes();
+        if self.memo.0 != bytes {
+            let t = Dur::from_secs_f64(bytes as f64 / self.profile.channel_rate as f64);
+            self.memo = (bytes, t);
+        }
+        latency + self.memo.1
     }
 
     fn channels(&self) -> usize {
@@ -171,6 +181,17 @@ mod tests {
             },
         );
         assert!(w > r);
+    }
+
+    #[test]
+    fn alternating_sizes_price_like_a_fresh_ssd() {
+        let mut ssd = Ssd::new(SsdProfile::pcie_x4_100gb());
+        for (i, blocks) in [8u64, 8192, 8, 8, 1, 8192, 0, 8].into_iter().enumerate() {
+            let op = if i % 3 == 0 { IoOp::Write } else { IoOp::Read };
+            let req = DeviceReq { lba: 0, blocks, op };
+            let want = service(&mut Ssd::new(SsdProfile::pcie_x4_100gb()), req);
+            assert_eq!(service(&mut ssd, req), want, "request {i}: {blocks} blocks");
+        }
     }
 
     #[test]

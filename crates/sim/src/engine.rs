@@ -125,8 +125,8 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
     let mut ended_at = started_at;
     let mut wakes: u64 = 0;
 
-    while let Some(entry) = s.heap.pop() {
-        let (now, idx) = (entry.time, entry.idx);
+    let mut running = s.heap.pop().map(|e| (e.time, e.idx));
+    while let Some((now, idx)) = running {
         wakes += 1;
         debug_assert!(!s.parked[idx], "parked process {idx} dispatched");
         match processes[idx].wake(now, env, &mut s.waker) {
@@ -135,6 +135,15 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
                     next >= now,
                     "process {idx} scheduled a wake in the past ({next} < {now})"
                 );
+                // Heap bypass: with nothing else pushed and `next` strictly
+                // before the heap minimum, a push would be popped straight
+                // back. On a tie the queued entry has the smaller `seq` and
+                // goes first, so pop order is unchanged.
+                if s.waker.requests.is_empty() && s.heap.min_time().is_none_or(|t| next < t) {
+                    seq += 1;
+                    running = Some((next, idx));
+                    continue;
+                }
                 s.heap.push(next, seq, idx);
                 seq += 1;
             }
@@ -158,6 +167,7 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
             s.heap.push(at, seq, target);
             seq += 1;
         }
+        running = s.heap.pop().map(|e| (e.time, e.idx));
     }
 
     assert!(
@@ -378,6 +388,180 @@ mod tests {
             }
         }
         run_processes(&mut [Rogue], &mut ());
+    }
+
+    #[test]
+    fn lone_process_never_pushes_after_its_first_wake() {
+        let mut procs = [Ticker {
+            id: 0,
+            period: Dur::from_micros(3),
+            remaining: 100,
+            start: Nanos::ZERO,
+        }];
+        let mut log = Vec::new();
+        let out = run_processes(&mut procs, &mut log);
+        assert_eq!(out.wakes, 101);
+        let scratch = ENGINE_SCRATCH.take().expect("scratch returned to the pool");
+        // The only push is the start-time entry.
+        assert_eq!(scratch.heap.pushes, 1);
+    }
+
+    /// One step of a scripted process.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Wake again this many ns later (0 ties the current instant).
+        After(u64),
+        /// Park, unless no other process could release us.
+        Park,
+        /// Release every parked peer this many ns later; wake now.
+        Release(u64),
+    }
+
+    struct Scripted {
+        id: usize,
+        start: Nanos,
+        steps: Vec<Step>,
+        next: usize,
+    }
+
+    /// Wake log plus the barrier book-keeping that keeps a script from
+    /// deadlocking: a process parks only while another is runnable, and
+    /// one that finishes releases every parked peer.
+    struct ScriptEnv {
+        log: Vec<(usize, Nanos)>,
+        parked: Vec<usize>,
+        runnable: usize,
+    }
+
+    impl ScriptEnv {
+        fn new(n: usize) -> Self {
+            ScriptEnv {
+                log: Vec::new(),
+                parked: Vec::new(),
+                runnable: n,
+            }
+        }
+
+        fn release_all(&mut self, at: Nanos, waker: &mut Waker) {
+            self.runnable += self.parked.len();
+            for p in self.parked.drain(..) {
+                waker.wake_at(p, at);
+            }
+        }
+    }
+
+    impl Process<ScriptEnv> for Scripted {
+        fn start_time(&self) -> Nanos {
+            self.start
+        }
+        fn wake(&mut self, now: Nanos, env: &mut ScriptEnv, waker: &mut Waker) -> Wake {
+            env.log.push((self.id, now));
+            let Some(&step) = self.steps.get(self.next) else {
+                env.release_all(now, waker);
+                env.runnable -= 1;
+                return Wake::Done;
+            };
+            self.next += 1;
+            match step {
+                Step::After(d) => Wake::At(now + Dur(d)),
+                Step::Park if env.runnable > 1 => {
+                    env.parked.push(self.id);
+                    env.runnable -= 1;
+                    Wake::Park
+                }
+                Step::Park => Wake::At(now),
+                Step::Release(d) => {
+                    env.release_all(now + Dur(d), waker);
+                    Wake::At(now)
+                }
+            }
+        }
+    }
+
+    /// `run_processes` as it was written before the heap bypass: every
+    /// wake goes through a `BinaryHeap` ordered by `(time, seq)`.
+    fn reference_run<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunOutcome {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut heap = BinaryHeap::new();
+        let mut parked = vec![false; processes.len()];
+        let mut waker = Waker::default();
+        let mut seq = 0u64;
+        let mut started_at = Nanos::MAX;
+        for (idx, p) in processes.iter().enumerate() {
+            started_at = started_at.min(p.start_time());
+            heap.push(Reverse((p.start_time(), seq, idx)));
+            seq += 1;
+        }
+        if processes.is_empty() {
+            started_at = Nanos::ZERO;
+        }
+        let mut finish_times = vec![Nanos::ZERO; processes.len()];
+        let mut ended_at = started_at;
+        let mut wakes = 0;
+        while let Some(Reverse((now, _, idx))) = heap.pop() {
+            wakes += 1;
+            match processes[idx].wake(now, env, &mut waker) {
+                Wake::At(next) => {
+                    heap.push(Reverse((next, seq, idx)));
+                    seq += 1;
+                }
+                Wake::Park => parked[idx] = true,
+                Wake::Done => {
+                    finish_times[idx] = now;
+                    ended_at = ended_at.max(now);
+                }
+            }
+            for (target, at) in waker.requests.drain(..) {
+                assert!(parked[target]);
+                parked[target] = false;
+                heap.push(Reverse((at, seq, target)));
+                seq += 1;
+            }
+        }
+        assert!(parked.iter().all(|&p| !p));
+        RunOutcome {
+            finish_times,
+            started_at,
+            ended_at,
+            wakes,
+        }
+    }
+
+    fn scripts() -> impl proptest::Strategy<Value = Vec<(u64, Vec<Step>)>> {
+        use proptest::prelude::*;
+        // Starts and delays from a few values, so wakes tie each other and
+        // the heap minimum all the time.
+        let step = (0u8..10, 0u64..4).prop_map(|(kind, d)| match kind {
+            0 | 1 => Step::Park,
+            2 => Step::Release(d),
+            _ => Step::After(d),
+        });
+        proptest::collection::vec((0u64..4, proptest::collection::vec(step, 0..24)), 1..6)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bypass_matches_the_reference_heap_loop(procs in scripts()) {
+            let build = || -> Vec<Scripted> {
+                procs
+                    .iter()
+                    .enumerate()
+                    .map(|(id, (start, steps))| Scripted {
+                        id,
+                        start: Nanos(*start),
+                        steps: steps.clone(),
+                        next: 0,
+                    })
+                    .collect()
+            };
+            let mut env = ScriptEnv::new(procs.len());
+            let out = run_processes(&mut build(), &mut env);
+            let mut ref_env = ScriptEnv::new(procs.len());
+            let want = reference_run(&mut build(), &mut ref_env);
+            proptest::prop_assert_eq!(&env.log, &ref_env.log);
+            proptest::prop_assert_eq!(out, want);
+        }
     }
 
     #[test]

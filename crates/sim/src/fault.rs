@@ -134,7 +134,11 @@ impl FaultPlan {
 /// The runtime fault oracle the cluster consults on every grant.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
+    /// The plan minus its outages, which live only in `outages`.
     plan: FaultPlan,
+    /// `outages[server]`: that server's windows as `(start, running max
+    /// of end)`, sorted by start.
+    outages: Vec<Vec<(Nanos, Nanos)>>,
     rng: SimRng,
 }
 
@@ -143,15 +147,37 @@ impl FaultInjector {
     /// `(plan.seed, run_seed)` only — never forked from the cluster's
     /// master RNG — so enabling faults does not perturb device jitter.
     pub fn new(plan: &FaultPlan, run_seed: u64) -> Self {
+        let servers = plan.outages.iter().map(|o| o.server + 1).max().unwrap_or(0);
+        let mut outages = vec![Vec::new(); servers];
+        for o in &plan.outages {
+            outages[o.server].push((o.start, o.end));
+        }
+        for windows in &mut outages {
+            windows.sort_unstable_by_key(|&(start, _)| start);
+            let mut reach = Nanos::ZERO;
+            for w in windows.iter_mut() {
+                reach = reach.max(w.1);
+                w.1 = reach;
+            }
+        }
         FaultInjector {
-            plan: plan.clone(),
+            plan: FaultPlan {
+                seed: plan.seed,
+                slowdowns: plan.slowdowns.clone(),
+                device_error_rate: plan.device_error_rate,
+                device_error_hotspots: plan.device_error_hotspots.clone(),
+                link_loss_rate: plan.link_loss_rate,
+                retransmit_delay: plan.retransmit_delay,
+                outages: Vec::new(),
+            },
+            outages,
             rng: SimRng::seed_from_u64(plan.seed ^ run_seed.wrapping_mul(0xD1B5_4A32_D192_ED03)),
         }
     }
 
     /// True when the underlying plan injects nothing.
     pub fn is_none(&self) -> bool {
-        self.plan.is_none()
+        self.plan.is_none() && self.outages.is_empty()
     }
 
     /// Service-time multiplier for `server` at instant `at`: the product
@@ -175,15 +201,17 @@ impl FaultInjector {
     }
 
     /// If `server` is inside an outage window at `at`, the recovery
-    /// instant.
+    /// instant: the latest end among the windows containing `at`. The
+    /// windows that start by `at` form a prefix of the start-sorted index;
+    /// the largest end in that prefix lies past `at` exactly when some
+    /// window contains `at`, and then it is the latest such end.
     pub fn outage_until(&self, server: usize, at: Nanos) -> Option<Nanos> {
-        let until = self
-            .plan
-            .outages
-            .iter()
-            .filter(|o| o.server == server && o.start <= at && at < o.end)
-            .map(|o| o.end)
-            .max();
+        let windows = self.outages.get(server)?;
+        let opened = windows.partition_point(|&(start, _)| start <= at);
+        let until = opened
+            .checked_sub(1)
+            .map(|i| windows[i].1)
+            .filter(|&reach| reach > at);
         if until.is_some() {
             bps_telemetry::incr(bps_telemetry::Counter::FaultOutageRefusals);
         }

@@ -50,6 +50,9 @@ pub struct WakeHeap {
     entries: Vec<WakeEntry>,
     /// `pos[idx]` is the slot of `idx`'s entry in `entries`, or `ABSENT`.
     pos: Vec<usize>,
+    /// Pushes since the last reset (tests).
+    #[cfg(test)]
+    pub(crate) pushes: u64,
 }
 
 impl WakeHeap {
@@ -63,6 +66,10 @@ impl WakeHeap {
         self.entries.clear();
         self.pos.clear();
         self.pos.resize(n, ABSENT);
+        #[cfg(test)]
+        {
+            self.pushes = 0;
+        }
     }
 
     /// Number of scheduled wakes.
@@ -73,6 +80,11 @@ impl WakeHeap {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The earliest scheduled instant, if anything is scheduled.
+    pub fn min_time(&self) -> Option<Nanos> {
+        self.entries.first().map(|e| e.time)
     }
 
     /// The instant `idx` is scheduled to wake, if it is scheduled.
@@ -90,6 +102,10 @@ impl WakeHeap {
             self.pos[idx] == ABSENT,
             "process {idx} already has a scheduled wake"
         );
+        #[cfg(test)]
+        {
+            self.pushes += 1;
+        }
         let slot = self.entries.len();
         self.entries.push(WakeEntry { time, seq, idx });
         self.pos[idx] = slot;

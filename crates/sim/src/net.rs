@@ -29,6 +29,9 @@ pub struct Link {
     latency: Dur,
     bandwidth: u64,
     queue: FifoResource,
+    /// The last `(bytes, serialization)` pair: a NIC sees the same
+    /// message size over and over.
+    memo: (u64, Dur),
 }
 
 impl Link {
@@ -39,6 +42,7 @@ impl Link {
             latency,
             bandwidth,
             queue: FifoResource::new(),
+            memo: (0, Dur::ZERO),
         }
     }
 
@@ -57,9 +61,10 @@ impl Link {
     /// instant the last byte is delivered at the far end: queueing +
     /// serialization, then latency.
     pub fn transfer(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
-        let g: Grant = self
-            .queue
-            .acquire_bytes(arrival, self.serialization(bytes), bytes);
+        if self.memo.0 != bytes {
+            self.memo = (bytes, self.serialization(bytes));
+        }
+        let g: Grant = self.queue.acquire_bytes(arrival, self.memo.1, bytes);
         g.end + self.latency
     }
 
@@ -139,11 +144,14 @@ impl Switch {
     pub fn forward(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
         // Decay the load estimate. Arrivals may be slightly out of order
         // (bounded path skew); anchor decay monotonically.
+        // At the anchor itself the decay factor is exp(-0.0) == 1.0.
         let t = self.last_update.max(arrival);
-        let dt = t.since(self.last_update).as_secs_f64();
-        let w = self.window.as_secs_f64();
-        self.recent_load *= (-dt / w).exp();
-        self.last_update = t;
+        if t != self.last_update {
+            let dt = t.since(self.last_update).as_secs_f64();
+            let w = self.window.as_secs_f64();
+            self.recent_load *= (-dt / w).exp();
+            self.last_update = t;
+        }
         let penalty = Dur::from_secs_f64(self.congestion_per_msg.as_secs_f64() * self.recent_load);
         self.recent_load += 1.0;
         self.ops += 1;
@@ -194,6 +202,46 @@ mod tests {
         let done = l.transfer(Nanos::ZERO, 64 << 10);
         let secs = (done - Nanos::ZERO).as_secs_f64();
         assert!((0.0005..0.0008).contains(&secs), "{secs}");
+    }
+
+    #[test]
+    fn alternating_sizes_transfer_like_a_fresh_link() {
+        // Arrivals a second apart never queue, so each transfer must take
+        // exactly what it takes on a fresh link.
+        let mut l = Link::gigabit_ethernet();
+        for (i, bytes) in [256u64, 65_536, 256, 256, 0, 4 << 20, 65_536, 1]
+            .into_iter()
+            .enumerate()
+        {
+            let at = Nanos::from_secs(i as u64);
+            let want = Link::gigabit_ethernet().transfer(at, bytes);
+            assert_eq!(l.transfer(at, bytes), want, "transfer {i}: {bytes} bytes");
+        }
+    }
+
+    #[test]
+    fn switch_matches_decay_applied_on_every_message() {
+        // The forwarder as written before it skipped the decay at an
+        // unchanged anchor.
+        let mut load = 0.0f64;
+        let mut last = Nanos::ZERO;
+        let mut reference = |arrival: Nanos, bytes: u64| {
+            let t = last.max(arrival);
+            load *= (-t.since(last).as_secs_f64() / 1e-3).exp();
+            last = t;
+            let penalty = Dur::from_secs_f64(4e-6 * load);
+            load += 1.0;
+            arrival + Dur::from_micros(10) + Dur::from_secs_f64(bytes as f64 / 6e9) + penalty
+        };
+        let mut s = Switch::gigabit_cluster();
+        // Repeated instants, a step back in time, and gaps of every size.
+        for (i, us) in [0u64, 0, 0, 3, 3, 2, 3, 500, 500, 501, 5_000, 5_000, 4_999]
+            .into_iter()
+            .enumerate()
+        {
+            let (at, bytes) = (Nanos::from_micros(us), 256 << (i % 3 * 4));
+            assert_eq!(s.forward(at, bytes), reference(at, bytes), "message {i}");
+        }
     }
 
     #[test]
