@@ -51,6 +51,16 @@ pub enum FsChoice {
     },
 }
 
+impl FsChoice {
+    /// I/O servers this file system runs on: one for a local file system.
+    fn servers(&self) -> usize {
+        match *self {
+            FsChoice::Parallel { servers } => servers,
+            FsChoice::Local { .. } => 1,
+        }
+    }
+}
+
 /// The interconnect configuration a `Net` component installed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetChoice {
@@ -118,6 +128,21 @@ pub struct BuiltStack<S: RecordSink> {
 }
 
 impl TopologySpec {
+    /// Servers the built cluster has, numbered `0..servers` as fault
+    /// plans address them. `None` when the chain has no file-system node.
+    pub fn servers(&self) -> Option<usize> {
+        self.install().fs.map(|fs| fs.servers())
+    }
+
+    /// Every node's contribution, in declaration order.
+    fn install(&self) -> StackBuilder {
+        let mut b = StackBuilder::default();
+        for node in self.nodes() {
+            node.component().install(&mut b);
+        }
+        b
+    }
+
     /// Validate the chain and assemble it over `sink`.
     pub fn build<S: RecordSink>(
         &self,
@@ -125,10 +150,7 @@ impl TopologySpec {
         sink: S,
     ) -> Result<BuiltStack<S>, TopologyError> {
         self.validate()?;
-        let mut b = StackBuilder::default();
-        for node in self.nodes() {
-            node.component().install(&mut b);
-        }
+        let b = self.install();
         let fs = b.fs.expect("validation guarantees a file-system node");
         let device = b.device.unwrap_or(DeviceNode::Hdd);
 
@@ -149,10 +171,7 @@ impl TopologySpec {
             }
         }
 
-        let servers = match fs {
-            FsChoice::Parallel { servers } => servers,
-            FsChoice::Local { .. } => 1,
-        };
+        let servers = fs.servers();
         let cfg = ClusterConfig {
             servers,
             clients: env.clients.max(1),
@@ -250,6 +269,28 @@ mod tests {
             .unwrap();
         assert!(matches!(built.stack.backend, FsBackend::Parallel(_)));
         assert_eq!(built.files.len(), 2);
+    }
+
+    #[test]
+    fn servers_counts_what_the_builder_builds() {
+        let sizes = [1 << 20];
+        let specs = [
+            TopologySpec::local(DeviceNode::Ssd),
+            TopologySpec::pfs(1),
+            TopologySpec::pfs(4),
+            TopologySpec::new(vec![
+                NodeSpec::Sieving { enabled: true },
+                NodeSpec::Pfs { servers: 3 },
+            ]),
+        ];
+        for spec in specs {
+            let built = spec.build(&env(&sizes), Trace::new()).unwrap();
+            assert_eq!(spec.servers(), Some(built.stack.cluster.server_count()));
+        }
+        assert_eq!(
+            TopologySpec::new(vec![NodeSpec::Collective]).servers(),
+            None
+        );
     }
 
     #[test]
