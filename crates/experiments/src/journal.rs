@@ -49,9 +49,9 @@ pub struct Journal {
     replay: HashMap<String, UnitValues>,
 }
 
-/// Encode an `f64` as its IEEE-754 bits in hex — exact, NaN-safe. Shared
-/// with the persistent case store so both on-disk formats are bit-exact.
-pub(crate) fn f64_to_value(x: f64) -> serde::Value {
+/// Encode an `f64` as its IEEE-754 bits in hex — exact, NaN-safe. The
+/// persistent case store writes the same 16-hex-digit spelling.
+fn f64_to_value(x: f64) -> serde::Value {
     serde::Value::Str(format!("{:016x}", x.to_bits()))
 }
 
@@ -62,7 +62,7 @@ fn opt_f64_to_value(x: Option<f64>) -> serde::Value {
     }
 }
 
-pub(crate) fn f64_from_value(v: &serde::Value) -> Option<f64> {
+fn f64_from_value(v: &serde::Value) -> Option<f64> {
     match v {
         serde::Value::Str(s) if s.len() == 16 => {
             u64::from_str_radix(s, 16).ok().map(f64::from_bits)

@@ -26,6 +26,13 @@
 //! - **Failures never persist.** A point whose every seed failed (panic,
 //!   timeout) is environment-dependent and is not written.
 //!
+//! ## Entry format (version 2)
+//!
+//! `bps-case 2 <payload-len> <fnv1a-16hex>`, a newline, then the payload
+//! `<fingerprint> <exec_s> <iops> <bw> <arpt> <bps> <n> [<name> <value>]×n
+//! <label> <key>` and a newline. Fields are one space apart; strings are
+//! length-prefixed (`<bytes>:<text>`), so they may hold any character.
+//!
 //! ## Control surface
 //!
 //! The CLI installs the store from the environment: `BPS_CACHE=0` (or
@@ -33,35 +40,22 @@
 //! location (the build's `target/bps-cache/`). `reproduce cache
 //! stats|verify|clear` inspects and manages the store.
 
-use crate::journal::{f64_from_value, f64_to_value};
 use crate::runner::CasePoint;
-use std::fs;
-use std::io;
+use std::fmt::Write as _;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// On-disk entry format version (bumped on layout changes; a version
 /// mismatch is a miss).
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// The fingerprint of the sources this binary was built from, stamped
 /// into every entry it writes.
 pub fn code_fingerprint() -> &'static str {
     env!("BPS_CODE_FINGERPRINT")
-}
-
-static STORE_HITS: AtomicU64 = AtomicU64::new(0);
-static STORE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Lifetime (hits, misses) counters of the persistent store — `hits`
-/// counts cases served from disk, `misses` lookups that fell through to
-/// simulation (absent, stale, or corrupt entries).
-pub fn store_stats() -> (u64, u64) {
-    (
-        STORE_HITS.load(Ordering::Relaxed),
-        STORE_MISSES.load(Ordering::Relaxed),
-    )
 }
 
 /// FNV-1a over a byte string — entry addressing and checksums. Matches
@@ -76,9 +70,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Why an on-disk entry cannot be served.
-enum EntryState {
+enum EntryState<'a> {
     /// Valid and written by this build: the stored key and point.
-    Fresh(String, CasePoint),
+    Fresh(&'a str, CasePoint),
     /// Structurally valid but written by another build or format version.
     /// Carries the human-readable reason and the foreign origin marker
     /// (`build <fingerprint>` or `format v<N>`) `cache stats` groups by.
@@ -87,77 +81,19 @@ enum EntryState {
     Corrupt(String),
 }
 
-fn point_to_value(key: &str, point: &CasePoint) -> serde::Value {
-    let extra = serde::Value::Array(
-        point
-            .extra
-            .iter()
-            .map(|(name, v)| {
-                serde::Value::Array(vec![serde::Value::Str(name.clone()), f64_to_value(*v)])
-            })
-            .collect(),
-    );
-    serde::Value::Object(vec![
-        ("version".to_string(), serde::Value::UInt(VERSION)),
-        (
-            "fingerprint".to_string(),
-            serde::Value::Str(code_fingerprint().to_string()),
-        ),
-        ("key".to_string(), serde::Value::Str(key.to_string())),
-        ("label".to_string(), serde::Value::Str(point.label.clone())),
-        ("exec_s".to_string(), f64_to_value(point.exec_s)),
-        ("iops".to_string(), f64_to_value(point.iops)),
-        ("bw".to_string(), f64_to_value(point.bw)),
-        ("arpt".to_string(), f64_to_value(point.arpt)),
-        ("bps".to_string(), f64_to_value(point.bps)),
-        ("extra".to_string(), extra),
-    ])
-}
-
-fn point_from_value(v: &serde::Value) -> Option<(String, CasePoint)> {
-    let str_field = |name: &str| match v.field(name).ok()? {
-        serde::Value::Str(s) => Some(s.clone()),
-        _ => None,
-    };
-    let f64_field = |name: &str| f64_from_value(v.field(name).ok()?);
-    let extra = match v.field("extra").ok()? {
-        serde::Value::Array(items) => {
-            let mut extra = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    serde::Value::Array(pair) if pair.len() == 2 => {
-                        let name = match &pair[0] {
-                            serde::Value::Str(n) => n.clone(),
-                            _ => return None,
-                        };
-                        extra.push((name, f64_from_value(&pair[1])?));
-                    }
-                    _ => return None,
-                }
-            }
-            extra
-        }
-        _ => return None,
-    };
-    let point = CasePoint {
-        label: str_field("label")?,
-        iops: f64_field("iops")?,
-        bw: f64_field("bw")?,
-        arpt: f64_field("arpt")?,
-        bps: f64_field("bps")?,
-        exec_s: f64_field("exec_s")?,
-        extra,
-        failed: None,
-    };
-    Some((str_field("key")?, point))
-}
-
-/// Render a complete entry file: `bps-case <version> <payload-len>
-/// <payload-checksum>` on the first line, the one-line JSON payload on
-/// the second.
+/// Render a complete entry file (layout in the module docs).
 fn encode_entry(key: &str, point: &CasePoint) -> String {
-    let payload =
-        serde_json::to_string(&point_to_value(key, point)).expect("case point encodes to JSON");
+    let fp = code_fingerprint();
+    let mut payload = format!("{}:{fp}", fp.len());
+    for x in [point.exec_s, point.iops, point.bw, point.arpt, point.bps] {
+        let _ = write!(payload, " {:016x}", x.to_bits());
+    }
+    let _ = write!(payload, " {}", point.extra.len());
+    for (name, x) in &point.extra {
+        let _ = write!(payload, " {}:{name} {:016x}", name.len(), x.to_bits());
+    }
+    let label = &point.label;
+    let _ = write!(payload, " {}:{label} {}:{key}", label.len(), key.len());
     format!(
         "bps-case {VERSION} {} {:016x}\n{payload}\n",
         payload.len(),
@@ -165,25 +101,89 @@ fn encode_entry(key: &str, point: &CasePoint) -> String {
     )
 }
 
-/// Classify one entry file's text: fresh (servable), stale, or corrupt.
-fn parse_entry(text: &str) -> EntryState {
-    let corrupt = |r: &str| EntryState::Corrupt(r.to_string());
-    let Some((header, rest)) = text.split_once('\n') else {
-        return corrupt("missing header line");
-    };
-    let fields: Vec<&str> = header.split(' ').collect();
-    let [magic, version, len, sum] = fields.as_slice() else {
-        return corrupt("malformed header");
-    };
-    if *magic != "bps-case" {
-        return corrupt("bad magic");
+/// The header line's format version, payload length and checksum, and
+/// the offset the payload starts at.
+fn parse_header(bytes: &[u8]) -> Result<(u64, usize, u64, usize), &'static str> {
+    let nl = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or("missing header line")?;
+    let mut f = Fields(std::str::from_utf8(&bytes[..nl]).unwrap_or(""));
+    match (f.take(8), f.count(' '), f.count(' '), f.hex()) {
+        (Some("bps-case"), Some(version), Some(len), Some(sum)) if f.0.is_empty() => {
+            Ok((version as u64, len, sum, nl + 1))
+        }
+        _ => Err("malformed header"),
     }
-    let (Ok(version), Ok(len), Ok(sum)) = (
-        version.parse::<u64>(),
-        len.parse::<usize>(),
-        u64::from_str_radix(sum, 16),
-    ) else {
-        return corrupt("malformed header");
+}
+
+/// A cursor over the payload's space-separated fields.
+struct Fields<'a>(&'a str);
+
+impl<'a> Fields<'a> {
+    /// The next `len` bytes, then the separator; only the last field has none.
+    fn take(&mut self, len: usize) -> Option<&'a str> {
+        let field = self.0.get(..len)?;
+        self.0 = match &self.0[len..] {
+            "" => "",
+            rest => rest.strip_prefix(' ').filter(|next| !next.is_empty())?,
+        };
+        Some(field)
+    }
+
+    /// A decimal count ended by `end`: ASCII digits only, no sign.
+    fn count(&mut self, end: char) -> Option<usize> {
+        let (digits, rest) = self.0.split_once(end)?;
+        self.0 = rest;
+        let ok = digits.bytes().all(|b| b.is_ascii_digit());
+        ok.then(|| digits.parse().ok())?
+    }
+
+    /// A length-prefixed string, `<bytes>:<text>`.
+    fn text(&mut self) -> Option<&'a str> {
+        let len = self.count(':')?;
+        self.take(len)
+    }
+
+    /// Exactly 16 lowercase hex digits, so a value has one spelling.
+    fn hex(&mut self) -> Option<u64> {
+        let s = self.take(16)?;
+        let ok = s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        ok.then(|| u64::from_str_radix(s, 16).ok())?
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.hex().map(f64::from_bits)
+    }
+}
+
+/// The fields after the fingerprint, read in the order the struct
+/// literal names them; the key must end the payload.
+fn decode_point<'a>(f: &mut Fields<'a>) -> Option<(&'a str, CasePoint)> {
+    let point = CasePoint {
+        exec_s: f.f64()?,
+        iops: f.f64()?,
+        bw: f.f64()?,
+        arpt: f.f64()?,
+        bps: f.f64()?,
+        extra: (0..f.count(' ')?)
+            .map(|_| Some((f.text()?.to_string(), f.f64()?)))
+            .collect::<Option<_>>()?,
+        label: f.text()?.to_string(),
+        failed: None,
+    };
+    let key = f.text()?;
+    f.0.is_empty().then_some((key, point))
+}
+
+/// Classify one entry file's bytes: fresh (servable), stale, or corrupt.
+/// The checksum covers the raw bytes and is checked before UTF-8 decoding,
+/// the fingerprint before any float, and the key is compared by the caller.
+fn parse_entry(bytes: &[u8]) -> EntryState<'_> {
+    let corrupt = |r: &str| EntryState::Corrupt(r.to_string());
+    let (version, len, sum, start) = match parse_header(bytes) {
+        Ok(h) => h,
+        Err(reason) => return corrupt(reason),
     };
     if version != VERSION {
         return EntryState::Stale(
@@ -191,35 +191,49 @@ fn parse_entry(text: &str) -> EntryState {
             format!("format v{version}"),
         );
     }
-    let Some(payload) = rest.get(..len) else {
-        return corrupt(&format!(
-            "torn entry: payload is {} of {len} byte(s)",
-            rest.len().saturating_sub(1)
-        ));
+    let rest = &bytes[start..];
+    let Some((payload, end)) = rest.split_at_checked(len) else {
+        let got = rest.len();
+        return corrupt(&format!("torn entry: {got} of {len} payload byte(s)"));
     };
-    if fnv1a(payload.as_bytes()) != sum {
+    if fnv1a(payload) != sum {
         return corrupt("checksum mismatch");
     }
-    let Ok(v) = serde_json::from_str::<serde::Value>(payload) else {
-        return corrupt("unparseable payload");
+    if end != b"\n" {
+        return corrupt("bad entry terminator");
+    }
+    let Ok(payload) = std::str::from_utf8(payload) else {
+        return corrupt("payload is not UTF-8");
     };
-    if let Ok(serde::Value::Str(fp)) = v.field("fingerprint") {
-        if fp != code_fingerprint() {
-            return EntryState::Stale(
-                format!(
-                    "written by build {fp}; this build is {}",
-                    code_fingerprint()
-                ),
-                format!("build {fp}"),
-            );
+    let (mut fields, this) = (Fields(payload), code_fingerprint());
+    match fields.text() {
+        Some(fp) if fp != this => EntryState::Stale(
+            format!("written by build {fp}; this build is {this}"),
+            format!("build {fp}"),
+        ),
+        Some(_) => match decode_point(&mut fields) {
+            Some((key, point)) => EntryState::Fresh(key, point),
+            None => corrupt("malformed case point"),
+        },
+        None => corrupt("missing fingerprint"),
+    }
+}
+
+/// An entry file's bytes, from one `read` into a page-sized buffer. Only
+/// a header declaring a longer entry makes it read on, to one byte past
+/// the declared end so that trailing bytes show.
+fn read_entry(path: &Path) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    let mut buf = vec![0; 4096];
+    let n = file.read(&mut buf)?;
+    buf.truncate(n);
+    if let Ok((_, len, _, start)) = parse_header(&buf) {
+        let end = start.saturating_add(len).saturating_add(1);
+        if end > n {
+            file.take((end - n) as u64 + 1).read_to_end(&mut buf)?;
         }
-    } else {
-        return corrupt("missing fingerprint");
     }
-    match point_from_value(&v) {
-        Some((key, point)) => EntryState::Fresh(key, point),
-        None => corrupt("malformed case point"),
-    }
+    Ok(buf)
 }
 
 /// Aggregate counts from one walk of the store directory.
@@ -279,32 +293,24 @@ impl CaseStore {
     /// stale, corrupt, or a filename collision). Misses are silent —
     /// the engine just simulates.
     pub fn lookup(&self, key: &str) -> Option<CasePoint> {
-        use bps_telemetry::Counter;
-        let found =
-            fs::read_to_string(self.entry_path(key))
-                .ok()
-                .and_then(|text| match parse_entry(&text) {
-                    EntryState::Fresh(stored_key, point) if stored_key == key => Some(point),
-                    EntryState::Stale(..) => {
-                        bps_telemetry::incr(Counter::CacheL2Stale);
-                        None
-                    }
-                    EntryState::Corrupt(_) => {
-                        bps_telemetry::incr(Counter::CacheL2Corrupt);
-                        None
-                    }
-                    EntryState::Fresh(..) => None,
-                });
-        match &found {
-            Some(_) => {
-                STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                bps_telemetry::incr(Counter::CacheL2Hits);
+        use bps_telemetry::{incr, Counter};
+        let bytes = read_entry(&self.entry_path(key)).ok();
+        let found = match bytes.as_deref().map(parse_entry) {
+            Some(EntryState::Fresh(stored_key, point)) if stored_key == key => Some(point),
+            Some(EntryState::Stale(..)) => {
+                incr(Counter::CacheL2Stale);
+                None
             }
-            None => {
-                STORE_MISSES.fetch_add(1, Ordering::Relaxed);
-                bps_telemetry::incr(Counter::CacheL2Misses);
+            Some(EntryState::Corrupt(_)) => {
+                incr(Counter::CacheL2Corrupt);
+                None
             }
+            _ => None,
         };
+        incr(match found {
+            Some(_) => Counter::CacheL2Hits,
+            None => Counter::CacheL2Misses,
+        });
         found
     }
 
@@ -361,7 +367,7 @@ impl CaseStore {
         for path in self.entry_files() {
             s.entries += 1;
             s.bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            match fs::read_to_string(&path).map(|t| parse_entry(&t)) {
+            match read_entry(&path).as_deref().map(parse_entry) {
                 Ok(EntryState::Fresh(..)) => s.fresh += 1,
                 Ok(EntryState::Stale(_, origin)) => {
                     s.stale += 1;
@@ -389,7 +395,7 @@ impl CaseStore {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            let reason = match fs::read_to_string(&path).map(|t| parse_entry(&t)) {
+            let reason = match read_entry(&path).as_deref().map(parse_entry) {
                 Ok(EntryState::Fresh(..)) => continue,
                 Ok(EntryState::Stale(r, _)) => format!("stale: {r}"),
                 Ok(EntryState::Corrupt(r)) => format!("corrupt: {r}"),
@@ -478,6 +484,7 @@ pub fn from_env() -> Option<CaseStore> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -567,6 +574,77 @@ mod tests {
     }
 
     #[test]
+    fn high_bit_flip_is_corrupt_not_unreadable() {
+        // 0x80 leaves the text invalid UTF-8: the checksum must still be
+        // what rejects it, in lookup, stats and verify alike.
+        let store = CaseStore::at(tmp("flip-high"));
+        store.insert("case-h", &point(2.5));
+        let path = store.entry_path("case-h");
+        let mut bytes = fs::read(&path).unwrap();
+        let near_end = bytes.len() - 10;
+        bytes[near_end] ^= 0x80;
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.lookup("case-h").is_none());
+        let s = store.stats();
+        assert_eq!((s.entries, s.fresh, s.corrupt), (1, 0, 1));
+        let (_, problems) = store.verify();
+        assert_eq!(problems.len(), 1);
+        assert_eq!(problems[0].reason, "corrupt: checksum mismatch");
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn version_one_json_entry_is_stale_then_overwritten() {
+        let store = CaseStore::at(tmp("v1"));
+        fs::create_dir_all(store.dir()).unwrap();
+        let bits = |x: f64| format!("\"{:016x}\"", x.to_bits());
+        let payload = format!(
+            "{{\"version\":1,\"fingerprint\":\"{}\",\"key\":\"case-v1\",\"label\":\"hdd\",\
+             \"exec_s\":{},\"iops\":{},\"bw\":{},\"arpt\":{},\"bps\":{},\"extra\":[]}}",
+            code_fingerprint(),
+            bits(1.0),
+            bits(2.0),
+            bits(3.0),
+            bits(4.0),
+            bits(5.0)
+        );
+        let path = store.entry_path("case-v1");
+        fs::write(
+            &path,
+            format!(
+                "bps-case 1 {} {:016x}\n{payload}\n",
+                payload.len(),
+                fnv1a(payload.as_bytes())
+            ),
+        )
+        .unwrap();
+        assert!(store.lookup("case-v1").is_none());
+        let s = store.stats();
+        assert_eq!((s.entries, s.stale, s.corrupt), (1, 1, 0));
+        assert_eq!(s.stale_origins, vec![("format v1".to_string(), 1)]);
+        let p = point(6.0);
+        store.insert("case-v1", &p);
+        let back = store
+            .lookup("case-v1")
+            .expect("insert overwrote the v1 entry");
+        assert_eq!(back.iops.to_bits(), p.iops.to_bits());
+        assert!(fs::read(&path).unwrap().starts_with(b"bps-case 2 "));
+        assert_eq!(store.stats().fresh, 1);
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn entry_longer_than_one_read_is_served() {
+        let store = CaseStore::at(tmp("long"));
+        let key = "k".repeat(10_000);
+        store.insert(&key, &point(7.0));
+        assert!(fs::metadata(store.entry_path(&key)).unwrap().len() > 4096);
+        let back = store.lookup(&key).expect("long entry served");
+        assert_eq!(back.exec_s.to_bits(), point(7.0).exec_s.to_bits());
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
     fn foreign_fingerprint_is_stale_not_served() {
         let store = CaseStore::at(tmp("stale"));
         store.insert("case-s", &point(3.0));
@@ -634,5 +712,95 @@ mod tests {
         assert_eq!(store.stats().entries, 0);
         assert_eq!(store.clear().unwrap(), 0);
         fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// Floats by raw bit pattern, weighted toward the edge cases: NaN
+    /// payloads of either sign, ±0, ±inf, and subnormals.
+    fn floats() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            any::<u64>().prop_map(|b| f64::from_bits(0x7ff0_0000_0000_0001 | b)),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (1u64..0x000f_ffff_ffff_ffff).prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Strings mixing the codec's own delimiters (space, colon, newline)
+    /// with multi-byte characters and arbitrary code points.
+    fn strings(max: usize) -> impl Strategy<Value = String> {
+        const POOL: [char; 10] = [' ', ':', '\n', 'a', '0', '"', '\\', 'é', '∑', '🦀'];
+        let ch = prop_oneof![
+            (0usize..POOL.len()).prop_map(|i| POOL[i]),
+            any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).unwrap_or('\u{fffd}')),
+        ];
+        collection::vec(ch, 0..max).prop_map(String::from_iter)
+    }
+
+    fn points() -> impl Strategy<Value = CasePoint> {
+        (
+            strings(12),
+            collection::vec(floats(), 5),
+            collection::vec((strings(8), floats()), 0..4),
+        )
+            .prop_map(|(label, v, extra)| CasePoint {
+                label,
+                exec_s: v[0],
+                iops: v[1],
+                bw: v[2],
+                arpt: v[3],
+                bps: v[4],
+                extra,
+                failed: None,
+            })
+    }
+
+    fn bits(p: &CasePoint) -> Vec<u64> {
+        let paper = [p.exec_s, p.iops, p.bw, p.arpt, p.bps];
+        paper
+            .into_iter()
+            .chain(p.extra.iter().map(|e| e.1))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn codec_round_trips_bit_for_bit(key in strings(300), p in points()) {
+            let text = encode_entry(&key, &p);
+            let EntryState::Fresh(k, back) = parse_entry(text.as_bytes()) else {
+                panic!("a fresh encoding must parse as fresh");
+            };
+            prop_assert_eq!(k, key.as_str());
+            prop_assert_eq!(&back.label, &p.label);
+            let names = |q: &CasePoint| q.extra.iter().map(|e| e.0.clone()).collect::<Vec<_>>();
+            prop_assert_eq!(names(&back), names(&p));
+            prop_assert_eq!(bits(&back), bits(&p));
+            prop_assert!(back.failed.is_none());
+        }
+
+        #[test]
+        fn damaged_entries_are_never_served(key in strings(40), p in points()) {
+            let text = encode_entry(&key, &p).into_bytes();
+            for cut in 0..text.len() {
+                prop_assert!(
+                    !matches!(parse_entry(&text[..cut]), EntryState::Fresh(..)),
+                    "truncation to {} of {} bytes was served", cut, text.len()
+                );
+            }
+            let mut flipped = text.clone();
+            for i in 0..text.len() {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    prop_assert!(
+                        !matches!(parse_entry(&flipped), EntryState::Fresh(..)),
+                        "flip of bit {} at byte {} was served", bit, i
+                    );
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+        }
     }
 }

@@ -296,12 +296,14 @@ fn cache_stats_groups_stale_entries_by_origin() {
     let text = std::fs::read_to_string(&entries[0]).unwrap();
     let (_, payload) = text.split_once('\n').unwrap();
     let payload = payload.trim_end_matches('\n');
-    let marker = "\"fingerprint\":\"";
-    let at = payload.find(marker).expect("payload carries a fingerprint") + marker.len();
+    // The payload opens with the length-prefixed fingerprint, `16:<hex>`.
+    let marker = "16:";
+    assert!(payload.starts_with(marker), "payload carries a fingerprint");
+    let at = marker.len();
     let mut doctored = payload.to_string();
     doctored.replace_range(at..at + 16, "deadbeef00c0ffee");
     let sealed = format!(
-        "bps-case 1 {} {:016x}\n{doctored}\n",
+        "bps-case 2 {} {:016x}\n{doctored}\n",
         doctored.len(),
         fnv1a(doctored.as_bytes())
     );
@@ -309,7 +311,7 @@ fn cache_stats_groups_stale_entries_by_origin() {
 
     // And age a second entry's format version: a different stale origin.
     let text = std::fs::read_to_string(&entries[1]).unwrap();
-    std::fs::write(&entries[1], text.replacen("bps-case 1 ", "bps-case 0 ", 1)).unwrap();
+    std::fs::write(&entries[1], text.replacen("bps-case 2 ", "bps-case 0 ", 1)).unwrap();
 
     let stats = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(["cache", "stats"])

@@ -45,7 +45,12 @@ impl SimRng {
     }
 
     /// Standard normal variate via Box–Muller (we avoid a `rand_distr`
-    /// dependency; two uniforms per call is plenty fast here).
+    /// dependency). Not cheap: with the `exp` of
+    /// [`lognormal_factor`](Self::lognormal_factor), this call's `ln` and
+    /// `cos` make device jitter ≈35 % of the CPU of the `local-io`
+    /// benchmark workload and ≈15 % of `parallel-io` (same draws with
+    /// cheap math in their place, 2-vCPU x86-64 Linux). Bit-exact table
+    /// versions of the chain measured no faster than glibc's.
     pub fn standard_normal(&mut self) -> f64 {
         // Guard against ln(0).
         let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
