@@ -20,13 +20,17 @@
 //! ```
 //!
 //! Units are content-keyed exactly like the cross-figure memo cache
-//! (`case_key(case, scale, selection)` plus the seed), so a journal is
-//! valid across any target list that shares cases and is simply ignored
-//! for units whose content changed. Every `f64` is stored as the
-//! 16-hex-digit big-endian encoding of its IEEE-754 bits (`null` for an
-//! undefined sample): the vendored JSON writer renders non-finite floats
-//! as `null` and decimal round-trips are not bit-exact, while the bits
-//! encoding is — resume must reproduce cold-run bytes exactly.
+//! (`engine::content_key(case, scale, selection)` plus the seed), so a
+//! journal is valid across any target list that shares cases and is
+//! simply ignored for units whose content changed, a replayed trace
+//! whose bytes changed included. Journals written before the canonical
+//! key carry `Debug`-text keys (`ResolvedCase { … }#<seed>`); they match
+//! no unit, so `resume` re-runs every unit and prints the cold bytes.
+//! Every `f64` is stored as the 16-hex-digit big-endian encoding of its
+//! IEEE-754 bits (`null` for an undefined sample): the vendored JSON
+//! writer renders non-finite floats as `null` and decimal round-trips
+//! are not bit-exact, while the bits encoding is — resume must
+//! reproduce cold-run bytes exactly.
 //!
 //! Torn or unparseable lines (a SIGKILL mid-write) are skipped with a
 //! warning; the affected unit just re-runs.

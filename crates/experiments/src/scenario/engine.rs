@@ -16,8 +16,8 @@
 //!    Table-1 expectations and verdict.
 
 use super::spec::{
-    DeviceErrorSpec, Expect, FaultSpec, LayoutSpec, OutputSpec, Patch, RetrySpec, Scenario,
-    SievingSpec, StorageSpec, Verdict, WorkloadTemplate,
+    DeviceErrorSpec, Expect, FaultSpec, LayoutSpec, LinkLossSpec, OutageTrainSpec, OutputSpec,
+    Patch, RetrySpec, Scenario, SievingSpec, SlowdownSpec, StorageSpec, Verdict, WorkloadTemplate,
 };
 use crate::figures::common::{CcFigure, DetailSeries};
 use crate::figures::faults::DegradedMix;
@@ -29,10 +29,12 @@ use bps_core::time::{Dur, Nanos};
 use bps_middleware::sieving::SievingConfig;
 use bps_middleware::stack::RetryPolicy;
 use bps_sim::fault::{FaultPlan, Outage, SlowdownWindow};
+use bps_workloads::iozone::IozoneMode;
 use bps_workloads::spec::Workload;
+use bps_workloads::synthetic::Pattern;
 use bps_workloads::WorkloadSpec;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -582,22 +584,264 @@ pub fn memo_stats() -> (u64, u64) {
 
 /// Content key of a case: every field that feeds the simulation, with the
 /// display label — which legitimately differs between figures sharing a
-/// case — stripped out.
-fn case_key(case: &ResolvedCase, scale: &Scale, selection: &MetricSelection) -> String {
-    let mut c = case.clone();
-    c.label.clear();
-    // Scale is included because DegradedMix workloads and the seed list
-    // are derived from it at run time; the metric selection because a
-    // cached point only carries the extras it was scored with.
-    format!("{c:?}|{scale:?}|{:?}", selection.names())
+/// case — left out. The in-process memo, the case store and the journal
+/// (`<key>#<seed>`) all index by it; `tests/prop_cache.rs` audits that
+/// cases differing in any simulation-feeding field never share a key.
+///
+/// The key is a canonical encoding, injective by construction: fields in
+/// a fixed order, one tag letter per field and per variant, integers in
+/// decimal ended by `,`, every `f64` as its 16 hex IEEE-754 bits, and
+/// every string and list prefixed by its length as `<n>:`. Every struct
+/// and variant is destructured in full, so a new field does not compile
+/// until it is keyed. The scale is keyed because `DegradedMix` workloads
+/// and the seed list are derived from it at run time; the metric
+/// selection because a cached point only carries the extras it was scored
+/// with. A replayed trace is keyed by its path plus the length and
+/// FNV-1a of the file's bytes, so an edited trace is a new case; an
+/// unreadable one keys as such, and its build then fails.
+pub fn content_key(case: &ResolvedCase, scale: &Scale, selection: &MetricSelection) -> String {
+    let ResolvedCase {
+        label: _,
+        storage,
+        layout,
+        sieving,
+        retry,
+        fault,
+        cpu_per_op_us,
+        clients,
+        topology,
+        workload,
+    } = case;
+    let mut k = KeyWriter(String::with_capacity(160));
+    match *storage {
+        StorageSpec::Hdd => k.tag("Sh"),
+        StorageSpec::Ssd => k.tag("Ss"),
+        StorageSpec::Pvfs { servers } => k.tag("Sp").int(servers as u64),
+    };
+    k.tag(match layout {
+        LayoutSpec::DefaultStripe => "Ld",
+        LayoutSpec::PinnedPerFile => "Lp",
+    });
+    k.tag(match sieving {
+        SievingSpec::RomioDefault => "Vr",
+        SievingSpec::Disabled => "Vd",
+    });
+    match *retry {
+        RetrySpec::Default => k.tag("Rd"),
+        RetrySpec::Custom {
+            max_attempts,
+            base_backoff_us,
+            max_backoff_us,
+        } => k
+            .tag("Rc")
+            .ints(&[max_attempts.into(), base_backoff_us, max_backoff_us]),
+    };
+    k.tag("F").opt(fault.as_ref(), KeyWriter::fault);
+    k.tag("C").int(*cpu_per_op_us);
+    k.tag("N").opt(*clients, |k, n| {
+        k.int(n as u64);
+    });
+    // Declared topologies are rare (JSON scenarios only) and their
+    // derived `Debug` text is deterministic, so it is keyed verbatim.
+    k.tag("T").opt(topology.as_ref(), |k, t| {
+        k.str(&format!("{t:?}"));
+    });
+    match workload {
+        ResolvedWorkload::DegradedMix => k.tag("Wm"),
+        ResolvedWorkload::Spec(spec) => k.tag("W").workload(spec),
+    };
+    let Scale {
+        fig4_file,
+        fig5_file,
+        fig9_total,
+        fig11_total,
+        fig12_regions,
+        runs,
+    } = *scale;
+    k.tag("Z").ints(&[
+        fig4_file,
+        fig5_file,
+        fig9_total,
+        fig11_total,
+        fig12_regions,
+        runs,
+    ]);
+    k.tag("M").len(selection.metrics().len());
+    for m in selection.metrics() {
+        k.str(m.name());
+    }
+    k.0
 }
 
-/// Public form of [`case_key`]: the exact content key the two-level
-/// case cache and the run journal index by. Exposed so the key-collision
-/// audit (`tests/prop_cache.rs`) can check that specs differing in any
-/// simulation-feeding field never share a key.
-pub fn content_key(case: &ResolvedCase, scale: &Scale, selection: &MetricSelection) -> String {
-    case_key(case, scale, selection)
+/// The token writer behind [`content_key`]. Every token delimits itself
+/// (a tag is a fixed letter, an integer ends at its `,`, a float is 16
+/// hex digits, a string carries its length), so two different token
+/// sequences never spell the same key.
+struct KeyWriter(String);
+
+impl KeyWriter {
+    fn tag(&mut self, t: &str) -> &mut Self {
+        self.0.push_str(t);
+        self
+    }
+
+    fn int(&mut self, n: u64) -> &mut Self {
+        let _ = write!(self.0, "{n},");
+        self
+    }
+
+    fn ints(&mut self, ns: &[u64]) -> &mut Self {
+        for &n in ns {
+            self.int(n);
+        }
+        self
+    }
+
+    fn hex(&mut self, bits: u64) -> &mut Self {
+        let _ = write!(self.0, "{bits:016x}");
+        self
+    }
+
+    fn float(&mut self, x: f64) -> &mut Self {
+        self.hex(x.to_bits())
+    }
+
+    fn len(&mut self, n: usize) -> &mut Self {
+        let _ = write!(self.0, "{n}:");
+        self
+    }
+
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.len(s.len()).0.push_str(s);
+        self
+    }
+
+    fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match v {
+            None => {
+                self.tag("-");
+            }
+            Some(v) => write(self.tag("+"), v),
+        }
+    }
+
+    fn fault(&mut self, f: &FaultSpec) {
+        let FaultSpec {
+            seed,
+            slowdowns,
+            device_errors,
+            link_loss,
+            outage_trains,
+        } = f;
+        self.int(*seed).len(slowdowns.len());
+        for &SlowdownSpec { server, factor } in slowdowns {
+            self.int(server as u64).float(factor);
+        }
+        self.len(device_errors.len());
+        for e in device_errors {
+            match *e {
+                DeviceErrorSpec::Uniform { rate } => self.tag("u").float(rate),
+                DeviceErrorSpec::Server { server, rate } => {
+                    self.tag("s").int(server as u64).float(rate)
+                }
+            };
+        }
+        self.opt(link_loss.as_ref(), |k, l| {
+            let LinkLossSpec {
+                rate,
+                retransmit_delay_ms,
+            } = *l;
+            k.float(rate).int(retransmit_delay_ms);
+        });
+        self.len(outage_trains.len());
+        for t in outage_trains {
+            let OutageTrainSpec {
+                server,
+                width_ms,
+                period_ms,
+                phase_ms,
+                cycles,
+            } = *t;
+            self.ints(&[server as u64, width_ms, period_ms, phase_ms, cycles]);
+        }
+    }
+
+    fn workload(&mut self, spec: &WorkloadSpec) -> &mut Self {
+        match *spec {
+            WorkloadSpec::Iozone {
+                mode,
+                file_size,
+                record_size,
+                processes,
+                seed,
+            } => self
+                .tag(match mode {
+                    IozoneMode::SeqRead => "ir",
+                    IozoneMode::SeqWrite => "iw",
+                    IozoneMode::ReRead => "iR",
+                    IozoneMode::ReWrite => "iW",
+                    IozoneMode::RandomRead => "ix",
+                    IozoneMode::BackwardRead => "ib",
+                })
+                .ints(&[file_size, record_size, processes as u64, seed]),
+            WorkloadSpec::Ior {
+                file_size,
+                transfer_size,
+                processes,
+                write,
+            } => self
+                .tag("o")
+                .ints(&[file_size, transfer_size, processes as u64])
+                .tag(if write { "y" } else { "n" }),
+            WorkloadSpec::Hpio {
+                region_count,
+                region_size,
+                region_spacing,
+                regions_per_call,
+                processes,
+                collective,
+            } => self
+                .tag("h")
+                .ints(&[
+                    region_count,
+                    region_size,
+                    region_spacing,
+                    regions_per_call,
+                    processes as u64,
+                ])
+                .tag(if collective { "y" } else { "n" }),
+            WorkloadSpec::Synthetic {
+                file_size,
+                record_size,
+                ops_per_process,
+                read_fraction,
+                pattern,
+                processes,
+                think_time_us,
+                burst_len,
+                seed,
+            } => {
+                self.tag("y")
+                    .ints(&[file_size, record_size, ops_per_process])
+                    .float(read_fraction);
+                match pattern {
+                    Pattern::Uniform => self.tag("u"),
+                    Pattern::Zipf { exponent } => self.tag("z").float(exponent),
+                }
+                .ints(&[processes as u64, think_time_us, burst_len, seed])
+            }
+            WorkloadSpec::Replay { ref path } => {
+                self.tag("p").str(path);
+                match std::fs::read(path) {
+                    Ok(bytes) => self
+                        .tag("+")
+                        .int(bytes.len() as u64)
+                        .hex(super::store::fnv1a(&bytes)),
+                    Err(_) => self.tag("?"),
+                }
+            }
+        }
+    }
 }
 
 /// Build a runnable [`CaseSpec`] from a resolved case and its built
@@ -843,7 +1087,7 @@ pub fn run_with_opts(
     let keys: Vec<String> = if memo_on || opts.journal.is_some() {
         resolved
             .iter()
-            .map(|c| case_key(c, scale, &selection))
+            .map(|c| content_key(c, scale, &selection))
             .collect()
     } else {
         Vec::new()

@@ -33,6 +33,13 @@
 //! <label> <key>` and a newline. Fields are one space apart; strings are
 //! length-prefixed (`<bytes>:<text>`), so they may hold any character.
 //!
+//! `<key>` is the engine's canonical content key (≈120 bytes): one tag
+//! letter per field and variant, decimal integers ended by `,`, floats
+//! as the same 16-hex-digit bit strings, strings and lists prefixed by
+//! their length, and a replayed trace's byte length and FNV-1a. A key
+//! looks like `ShLdVrRdF-C5,N-T-Wir1073741824,1048576,1,0,Z…,M4:4:IOPS…`;
+//! the entry's file name is the FNV-1a of the key.
+//!
 //! ## Control surface
 //!
 //! The CLI installs the store from the environment: `BPS_CACHE=0` (or
@@ -58,9 +65,10 @@ pub fn code_fingerprint() -> &'static str {
     env!("BPS_CODE_FINGERPRINT")
 }
 
-/// FNV-1a over a byte string — entry addressing and checksums. Matches
-/// the `build.rs` fingerprint hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string — entry addressing, checksums, and the
+/// content digest of a replayed trace in the case key. Matches the
+/// `build.rs` fingerprint hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

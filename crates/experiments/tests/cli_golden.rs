@@ -590,6 +590,96 @@ fn no_cache_flag_bypasses_the_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A JSON trace of `n` back-to-back sequential reads of `bytes` each,
+/// by one process.
+fn json_trace(n: u64, bytes: u64) -> String {
+    let records: Vec<String> = (0..n)
+        .map(|i| {
+            format!(
+                "{{\"pid\": 0, \"op\": \"Read\", \"file\": 0, \"offset\": {}, \
+                 \"bytes\": {bytes}, \"start\": {}, \"end\": {}, \
+                 \"layer\": \"Application\"}}",
+                i * bytes,
+                i * 1_000_000,
+                i * 1_000_000 + 500_000
+            )
+        })
+        .collect();
+    format!(
+        "{{\"records\": [{}], \"exec_time\": null}}",
+        records.join(", ")
+    )
+}
+
+#[test]
+fn editing_a_replayed_trace_invalidates_the_store() {
+    // The store must key a replayed trace by its bytes, not its path: a
+    // rewritten trace under the same name is a different case.
+    let store = cache_dir("replay-edit");
+    let work = cache_dir("replay-edit-work");
+    std::fs::create_dir_all(&work).unwrap();
+    std::fs::write(
+        work.join("replay.json"),
+        r#"{
+  "name": "replay-edit",
+  "title": "Replay of an edited trace",
+  "output": "Cc",
+  "base": {
+    "storage": "Hdd",
+    "workload": { "Fixed": { "spec": { "Replay": { "path": "t.json" } } } }
+  },
+  "grid": {
+    "dims": [
+      [
+        { "label": "hdd", "patch": { "storage": "Hdd" } },
+        { "label": "ssd", "patch": { "storage": "Ssd" } },
+        { "label": "pvfs-2", "patch": { "storage": { "Pvfs": { "servers": 2 } } } }
+      ]
+    ]
+  },
+  "expect": []
+}"#,
+    )
+    .unwrap();
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["run", "replay.json", "--tiny"])
+            .args(extra)
+            .current_dir(&work)
+            .env("BPS_THREADS", "1")
+            .env("BPS_CACHE_DIR", &store)
+            .output()
+            .expect("spawn reproduce");
+        assert!(
+            out.status.success(),
+            "reproduce run {extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+
+    std::fs::write(work.join("t.json"), json_trace(64, 4 << 10)).unwrap();
+    let before = run(&[]);
+    assert!(
+        store.is_dir(),
+        "the first run must fill {}",
+        store.display()
+    );
+
+    // Same path, new contents: 1 MiB records instead of 4 KiB.
+    std::fs::write(work.join("t.json"), json_trace(64, 1 << 20)).unwrap();
+    let cold = run(&["--no-cache"]);
+    assert_ne!(cold, before, "the edit must change the report");
+    assert_eq!(
+        run(&[]),
+        cold,
+        "a warm run over the edited trace served the old trace's numbers"
+    );
+
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_dir_all(&work).ok();
+}
+
 #[test]
 fn corrupted_entry_recomputes_silently_and_verify_names_it() {
     let dir = cache_dir("corrupt");

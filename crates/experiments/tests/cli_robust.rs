@@ -4,6 +4,11 @@
 //! injection uses the `BPS_TEST_UNIT_PANIC` / `BPS_TEST_UNIT_STALL`
 //! hooks, which are inert unless set.
 
+use bps_core::metrics::MetricSelection;
+use bps_experiments::journal::Journal;
+use bps_experiments::runner::UnitValues;
+use bps_experiments::scale::Scale;
+use bps_experiments::scenario::{engine, registry};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -183,6 +188,61 @@ fn failure_budget_exceeded_exits_7_with_resume_hint() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("failure budget exceeded"), "{err}");
     assert!(err.contains("reproduce resume"), "{err}");
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn journal_with_debug_format_keys_replays_nothing() {
+    // Earlier builds keyed journal units by the `Debug` text of the
+    // label-stripped case. Such a journal must match no unit of this
+    // build: its values are deliberately wrong, and resume must re-run
+    // every unit and print the cold bytes.
+    let journal = unique_journal();
+    let scale = Scale::tiny();
+    let sel = MetricSelection::paper();
+    let cases = engine::expand(&registry::find("fig4").unwrap(), &scale).unwrap();
+    let wrong = UnitValues {
+        iops: Some(1.0),
+        bw: Some(1.0),
+        arpt: Some(1.0),
+        bps: Some(1.0),
+        exec_s: 1.0,
+        extra: Vec::new(),
+    };
+    let j = Journal::create(&journal, &["fig4".to_string(), "--tiny".to_string()]).unwrap();
+    for case in &cases {
+        let mut stripped = case.clone();
+        stripped.label.clear();
+        let old_key = format!("{stripped:?}|{scale:?}|{:?}", sel.names());
+        assert!(old_key.starts_with("ResolvedCase { "), "{old_key}");
+        for seed in scale.seeds() {
+            j.record(&format!("{old_key}#{seed}"), &case.label, seed, &wrong);
+        }
+    }
+    drop(j);
+
+    let (j, _) = Journal::open_resume(&journal).unwrap();
+    assert_eq!(j.replayed_units(), cases.len() * scale.seeds().len());
+    for case in &cases {
+        let key = engine::content_key(case, &scale, &sel);
+        for seed in scale.seeds() {
+            assert!(
+                j.lookup(&format!("{key}#{seed}")).is_none(),
+                "a Debug-format unit matched `{}` seed {seed}",
+                case.label
+            );
+        }
+    }
+    drop(j);
+
+    let out = reproduce(&["resume", journal.to_str().unwrap()], &[]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig4"));
     std::fs::remove_file(&journal).ok();
 }
 
