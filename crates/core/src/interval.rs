@@ -410,6 +410,7 @@ impl OnlineUnion {
     /// interval can touch it). The dropped spans' measure stays in
     /// [`OnlineUnion::total`], so the total is the same as without
     /// retirement, bit for bit. The floor never moves down.
+    #[inline]
     pub fn retire_before(&mut self, w: Nanos) {
         self.floor = self.floor.max(w);
         if self.spans.len() >= RETIRE_CHUNK {

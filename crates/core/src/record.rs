@@ -92,6 +92,7 @@ impl IoRecord {
     /// Build a record, panicking on inverted times (use in generators that
     /// construct times monotonically; parsers should validate separately).
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn new(
         pid: ProcessId,
         op: IoOp,
@@ -158,16 +159,19 @@ impl IoRecord {
     }
 
     /// Response time of this access (the quantity ARPT averages).
+    #[inline]
     pub fn duration(&self) -> Dur {
         self.end - self.start
     }
 
     /// Number of 512-byte blocks this access required (rounded up).
+    #[inline]
     pub fn blocks(&self) -> u64 {
         blocks_for_bytes(self.bytes)
     }
 
     /// The in-flight interval of this access.
+    #[inline]
     pub fn interval(&self) -> Interval {
         Interval {
             start: self.start,

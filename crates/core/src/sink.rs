@@ -135,6 +135,7 @@ struct LayerAcc {
 }
 
 impl LayerAcc {
+    #[inline]
     fn observe(&mut self, r: &IoRecord) {
         self.ops += 1;
         self.bytes += r.bytes;
@@ -409,6 +410,7 @@ impl StreamingMetrics {
 }
 
 impl RecordSink for StreamingMetrics {
+    #[inline]
     fn on_record(&mut self, record: &IoRecord) {
         self.records += 1;
         self.first_start = Some(match self.first_start {
@@ -540,6 +542,7 @@ impl RecordSink for StreamingMetrics {
         self.exec_time = Some(t);
     }
 
+    #[inline]
     fn retire_before(&mut self, w: Nanos) {
         self.app.union.retire_before(w);
         self.fs.union.retire_before(w);

@@ -46,18 +46,22 @@ impl Nanos {
         Nanos(us * 1_000)
     }
     /// Fractional seconds since the epoch.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
+        secs_f64(self.0)
     }
     /// Elapsed time since `earlier`, saturating to zero if `earlier` is later.
+    #[inline]
     pub fn since(self, earlier: Nanos) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
     }
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: Nanos) -> Nanos {
         Nanos(self.0.min(other.0))
     }
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: Nanos) -> Nanos {
         Nanos(self.0.max(other.0))
     }
@@ -81,6 +85,7 @@ impl Dur {
     }
     /// Construct from fractional seconds (rounds to nearest nanosecond;
     /// negative inputs clamp to zero).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
             return Dur::ZERO;
@@ -90,79 +95,107 @@ impl Dur {
         // integer part `i` is exact and so is `x - i` (Sterbenz), so
         // rounding half away from zero is one compare. Larger values,
         // +inf and NaN keep `round`; the result is identical everywhere.
+        // In that range the signed conversions truncate and re-widen
+        // exactly, in one instruction each where `u64`'s take several.
         if x < 9_223_372_036_854_775_808.0 {
-            let i = x as u64;
-            return Dur(i + u64::from(x - i as f64 >= 0.5));
+            let i = x as i64;
+            return Dur(i as u64 + u64::from(x - i as f64 >= 0.5));
         }
         Dur(x.round() as u64)
     }
     /// Fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
+        secs_f64(self.0)
     }
     /// True if the duration is zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: Dur) -> Dur {
         Dur(self.0.saturating_sub(other.0))
     }
 }
 
+/// `n` nanoseconds in seconds, rounded as `n as f64 / 1e9` is. Below 2^63
+/// `n as i64 as f64` rounds the same as `n as f64` (both round to
+/// nearest), in one `cvtsi2sd` instead of the unsigned sequence.
+#[inline]
+fn secs_f64(n: u64) -> f64 {
+    let x = if n < 1 << 63 {
+        n as i64 as f64
+    } else {
+        n as f64
+    };
+    x / NANOS_PER_SEC as f64
+}
+
 impl Add<Dur> for Nanos {
     type Output = Nanos;
+    #[inline]
     fn add(self, rhs: Dur) -> Nanos {
         Nanos(self.0 + rhs.0)
     }
 }
 impl AddAssign<Dur> for Nanos {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         self.0 += rhs.0;
     }
 }
 impl Sub<Dur> for Nanos {
     type Output = Nanos;
+    #[inline]
     fn sub(self, rhs: Dur) -> Nanos {
         Nanos(self.0 - rhs.0)
     }
 }
 impl Sub<Nanos> for Nanos {
     type Output = Dur;
+    #[inline]
     fn sub(self, rhs: Nanos) -> Dur {
         Dur(self.0 - rhs.0)
     }
 }
 impl Add for Dur {
     type Output = Dur;
+    #[inline]
     fn add(self, rhs: Dur) -> Dur {
         Dur(self.0 + rhs.0)
     }
 }
 impl AddAssign for Dur {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         self.0 += rhs.0;
     }
 }
 impl Sub for Dur {
     type Output = Dur;
+    #[inline]
     fn sub(self, rhs: Dur) -> Dur {
         Dur(self.0 - rhs.0)
     }
 }
 impl SubAssign for Dur {
+    #[inline]
     fn sub_assign(&mut self, rhs: Dur) {
         self.0 -= rhs.0;
     }
 }
 impl Mul<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, rhs: u64) -> Dur {
         Dur(self.0 * rhs)
     }
 }
 impl Div<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn div(self, rhs: u64) -> Dur {
         Dur(self.0 / rhs)
     }

@@ -1,7 +1,8 @@
 //! `Dur::from_secs_f64` rounds with an integer compare instead of
-//! `f64::round`; these properties pin it to the rounding it replaced.
+//! `f64::round`, and the `as_secs_f64` conversions go through `i64` below
+//! 2^63; these properties pin both to the arithmetic they replaced.
 
-use bps_core::time::Dur;
+use bps_core::time::{Dur, Nanos};
 use proptest::prelude::*;
 
 /// The conversion as it was written with `f64::round`.
@@ -82,5 +83,72 @@ fn equals_round_on_the_edges() {
         -f64::NAN,
     ] {
         assert_eq!(Dur::from_secs_f64(s), reference(s), "{s:e}");
+    }
+}
+
+/// Both `as_secs_f64` conversions, checked bit for bit against the plain
+/// `u64` conversion they replaced.
+fn assert_secs_f64_exact(n: u64) {
+    let expect = (n as f64 / 1e9).to_bits();
+    assert_eq!(Nanos(n).as_secs_f64().to_bits(), expect, "Nanos({n})");
+    assert_eq!(Dur(n).as_secs_f64().to_bits(), expect, "Dur({n})");
+}
+
+proptest! {
+    /// Any count at all: the low half goes through `i64`, the high half
+    /// keeps the unsigned cast.
+    #[test]
+    fn as_secs_f64_equals_the_u64_cast(counts in proptest::collection::vec(any::<u64>(), 64)) {
+        for n in counts {
+            assert_secs_f64_exact(n);
+        }
+    }
+
+    /// Counts at or above 2^63, sampled on their own so the unsigned path
+    /// is exercised as often as the signed one.
+    #[test]
+    fn as_secs_f64_equals_the_u64_cast_above_2_pow_63(
+        counts in proptest::collection::vec((1u64 << 63)..=u64::MAX, 64),
+    ) {
+        for n in counts {
+            assert_secs_f64_exact(n);
+        }
+    }
+
+    /// Counts spread over every magnitude, where rounding to 53 bits starts
+    /// to drop low-order nanoseconds.
+    #[test]
+    fn as_secs_f64_equals_the_u64_cast_at_every_magnitude(
+        draws in proptest::collection::vec((any::<u64>(), 0u32..64), 64),
+    ) {
+        for (n, shift) in draws {
+            assert_secs_f64_exact(n >> shift);
+        }
+    }
+}
+
+#[test]
+fn as_secs_f64_equals_the_u64_cast_on_the_edges() {
+    for n in [
+        0,
+        1,
+        999_999_999,
+        1_000_000_000,
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        (1 << 63) - 1025,
+        (1 << 63) - 1024,
+        (1 << 63) - 513,
+        (1 << 63) - 512,
+        (1 << 63) - 1,
+        1 << 63,
+        (1 << 63) + 1,
+        (1 << 63) + 1024,
+        u64::MAX - 1024,
+        u64::MAX - 1,
+        u64::MAX,
+    ] {
+        assert_secs_f64_exact(n);
     }
 }

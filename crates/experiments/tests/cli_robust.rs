@@ -247,6 +247,63 @@ fn journal_with_debug_format_keys_replays_nothing() {
 }
 
 #[test]
+fn replayed_trace_whose_extent_wraps_u64_is_refused() {
+    // Eight sequential 4 KiB reads, then one whose `offset + bytes` wraps
+    // past 2^64: that record names no byte of any file, so the trace is
+    // refused like one that cannot be loaded, not simulated.
+    let work = std::env::temp_dir().join(format!("bps_cli_robust_wrap_{}", std::process::id()));
+    std::fs::create_dir_all(&work).unwrap();
+    std::fs::write(
+        work.join("replay.json"),
+        r#"{
+  "name": "replay-wrap",
+  "title": "Replay of a trace whose last extent wraps",
+  "output": "Cc",
+  "base": {
+    "storage": "Hdd",
+    "workload": { "Fixed": { "spec": { "Replay": { "path": "t.json" } } } }
+  },
+  "grid": { "dims": [[ { "label": "hdd", "patch": { "storage": "Hdd" } } ]] },
+  "expect": []
+}"#,
+    )
+    .unwrap();
+    let record = |offset: u64, i: u64| {
+        format!(
+            "{{\"pid\": 0, \"op\": \"Read\", \"file\": 0, \"offset\": {offset}, \
+             \"bytes\": 4096, \"start\": {}, \"end\": {}, \"layer\": \"Application\"}}",
+            i * 1_000_000,
+            i * 1_000_000 + 500_000
+        )
+    };
+    let mut records: Vec<String> = (0..8).map(|i| record(i * 4096, i)).collect();
+    records.push(record(u64::MAX - 99, 8));
+    std::fs::write(
+        work.join("t.json"),
+        format!(
+            "{{\"records\": [{}], \"exec_time\": null}}",
+            records.join(", ")
+        ),
+    )
+    .unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["run", "replay.json", "--tiny"])
+        .current_dir(&work)
+        .env("BPS_THREADS", "1")
+        .env("BPS_CACHE", "0")
+        .output()
+        .expect("spawn reproduce");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {err}");
+    assert!(err.contains("cannot load trace `t.json`"), "{err}");
+    assert!(err.contains("record 8"), "{err}");
+    assert!(err.contains("offset 18446744073709551516"), "{err}");
+    assert!(out.stdout.is_empty(), "a refused trace printed a report");
+    std::fs::remove_dir_all(&work).ok();
+}
+
+#[test]
 fn resume_of_a_missing_journal_exits_4() {
     let out = reproduce(&["resume", "/nonexistent/journal.jsonl"], &[]);
     assert_eq!(out.status.code(), Some(4));

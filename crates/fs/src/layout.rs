@@ -74,42 +74,26 @@ impl StripeLayout {
     /// in ascending file-offset order. Adjacent stripe units that land on
     /// the same server (the single-server case) are coalesced.
     pub fn map(&self, offset: u64, len: u64) -> Vec<Chunk> {
-        let mut chunks: Vec<Chunk> = Vec::new();
-        if len == 0 {
-            return chunks;
-        }
+        self.chunks(offset, len).collect()
+    }
+
+    /// The chunks of [`StripeLayout::map`], produced one at a time without
+    /// a vector. The divisions that place `offset` are done once; each
+    /// later stripe unit steps the slot and the pass incrementally.
+    pub fn chunks(&self, offset: u64, len: u64) -> Chunks<'_> {
         let n = self.servers.len() as u64;
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let stripe_idx = pos / self.stripe_size;
-            let within = pos % self.stripe_size;
-            let piece = (self.stripe_size - within).min(end - pos);
-            let server_slot = (stripe_idx % n) as usize;
+        let stripe_idx = offset / self.stripe_size;
+        Chunks {
+            servers: &self.servers,
+            stripe_size: self.stripe_size,
+            pos: offset,
+            end: offset + len,
+            slot: (stripe_idx % n) as usize,
             // How many complete passes over the server list precede this
             // stripe: that many stripe units already sit on this server.
-            let passes = stripe_idx / n;
-            let server_offset = passes * self.stripe_size + within;
-            let server = self.servers[server_slot];
-            match chunks.last_mut() {
-                Some(last)
-                    if last.server == server
-                        && last.server_offset + last.len == server_offset
-                        && last.file_offset + last.len == pos =>
-                {
-                    last.len += piece;
-                }
-                _ => chunks.push(Chunk {
-                    server,
-                    slot: server_slot,
-                    server_offset,
-                    file_offset: pos,
-                    len: piece,
-                }),
-            }
-            pos += piece;
+            pass_base: stripe_idx / n * self.stripe_size,
+            within: offset % self.stripe_size,
         }
-        chunks
     }
 
     /// Total bytes of the file that live on layout slot `slot` for a file
@@ -128,6 +112,69 @@ impl StripeLayout {
             share += tail;
         }
         share
+    }
+}
+
+/// Iterator over the chunks of one request; see [`StripeLayout::chunks`].
+///
+/// Between calls the cursor describes the stripe unit holding `pos`: its
+/// layout slot, the server offset at which that unit's pass begins, and
+/// `pos`'s offset inside the unit.
+#[derive(Debug, Clone)]
+pub struct Chunks<'a> {
+    servers: &'a [usize],
+    stripe_size: u64,
+    pos: u64,
+    end: u64,
+    slot: usize,
+    pass_base: u64,
+    within: u64,
+}
+
+impl Chunks<'_> {
+    /// Take the rest of the current stripe unit (up to `end`) as one chunk
+    /// and, if bytes remain, move the cursor to the next unit.
+    #[inline]
+    fn unit(&mut self) -> Chunk {
+        let len = (self.stripe_size - self.within).min(self.end - self.pos);
+        let chunk = Chunk {
+            server: self.servers[self.slot],
+            slot: self.slot,
+            server_offset: self.pass_base + self.within,
+            file_offset: self.pos,
+            len,
+        };
+        self.pos += len;
+        if self.pos < self.end {
+            self.within = 0;
+            self.slot += 1;
+            if self.slot == self.servers.len() {
+                self.slot = 0;
+                self.pass_base += self.stripe_size;
+            }
+        }
+        chunk
+    }
+}
+
+impl Iterator for Chunks<'_> {
+    type Item = Chunk;
+
+    #[inline]
+    fn next(&mut self) -> Option<Chunk> {
+        if self.pos >= self.end {
+            return None;
+        }
+        let mut chunk = self.unit();
+        // Coalesce following units on the same server whose server
+        // offsets continue this chunk's.
+        while self.pos < self.end
+            && self.servers[self.slot] == chunk.server
+            && chunk.server_offset + chunk.len == self.pass_base + self.within
+        {
+            chunk.len += self.unit().len;
+        }
+        Some(chunk)
     }
 }
 

@@ -94,7 +94,7 @@ impl LocalFs {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         let meta = &self.files[file.0 as usize];
-        if offset + len > meta.size {
+        if offset.checked_add(len).is_none_or(|end| end > meta.size) {
             return Err(IoError::BeyondEof {
                 offset,
                 len,
@@ -252,6 +252,28 @@ mod tests {
             matches!(err, IoError::BeyondEof { size: 4096, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn an_extent_that_wraps_u64_is_beyond_eof() {
+        let mut cluster = hdd_cluster();
+        let mut fs = LocalFs::new(0);
+        let f = fs.create(1 << 20);
+        let err = fs
+            .read(
+                &mut cluster,
+                ProcessId(0),
+                f,
+                u64::MAX - 99,
+                4096,
+                Nanos::ZERO,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, IoError::BeyondEof { size, .. } if size == 1 << 20),
+            "{err}"
+        );
+        assert_eq!(cluster.device_stats(0).ops, 0);
     }
 
     #[test]

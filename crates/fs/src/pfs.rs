@@ -106,7 +106,7 @@ impl ParallelFs {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         let meta = &self.files[file.0 as usize];
-        if offset + len > meta.size {
+        if offset.checked_add(len).is_none_or(|end| end > meta.size) {
             return Err(IoError::BeyondEof {
                 offset,
                 len,
@@ -115,7 +115,7 @@ impl ParallelFs {
         }
         let t0 = now + self.client_overhead;
         let mut done = t0;
-        for chunk in meta.layout.map(offset, len) {
+        for chunk in meta.layout.chunks(offset, len) {
             let lba = meta.lba_of(chunk.slot, chunk.server_offset);
             let chunk_done = match cluster.remote_chunk_io(pid, file, client, &chunk, lba, op, t0) {
                 Ok(t) => t,
@@ -315,6 +315,31 @@ mod tests {
         assert!(!err.is_transient());
         // Nothing was issued to any device.
         assert_eq!(cluster.device_stats(0).ops, 0);
+    }
+
+    #[test]
+    fn an_extent_that_wraps_u64_is_beyond_eof() {
+        let mut cluster = ram_cluster(2, 1);
+        let mut pfs = ParallelFs::new(2);
+        let f = pfs.create(1 << 20, StripeLayout::default_over(2));
+        let err = pfs
+            .read(
+                &mut cluster,
+                ProcessId(0),
+                0,
+                f,
+                u64::MAX - 99,
+                4096,
+                Nanos::ZERO,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, IoError::BeyondEof { size, .. } if size == 1 << 20),
+            "{err}"
+        );
+        for s in 0..2 {
+            assert_eq!(cluster.device_stats(s).ops, 0, "server {s}");
+        }
     }
 
     #[test]

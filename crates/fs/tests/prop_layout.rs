@@ -3,11 +3,88 @@
 
 use bps_core::record::FileId;
 use bps_fs::content::SparseStore;
-use bps_fs::layout::StripeLayout;
+use bps_fs::layout::{Chunk, StripeLayout};
 use proptest::prelude::*;
 
 fn layout() -> impl Strategy<Value = StripeLayout> {
     (1u64..300_000, 1usize..9).prop_map(|(stripe, n)| StripeLayout::new(stripe, (0..n).collect()))
+}
+
+/// The per-stripe-unit mapping loop `StripeLayout::map` ran before the
+/// chunk iterator, kept verbatim as the reference the iterator must equal.
+fn reference_map(layout: &StripeLayout, offset: u64, len: u64) -> Vec<Chunk> {
+    let mut chunks: Vec<Chunk> = Vec::new();
+    if len == 0 {
+        return chunks;
+    }
+    let n = layout.servers.len() as u64;
+    let mut pos = offset;
+    let end = offset + len;
+    while pos < end {
+        let stripe_idx = pos / layout.stripe_size;
+        let within = pos % layout.stripe_size;
+        let piece = (layout.stripe_size - within).min(end - pos);
+        let server_slot = (stripe_idx % n) as usize;
+        let passes = stripe_idx / n;
+        let server_offset = passes * layout.stripe_size + within;
+        let server = layout.servers[server_slot];
+        match chunks.last_mut() {
+            Some(last)
+                if last.server == server
+                    && last.server_offset + last.len == server_offset
+                    && last.file_offset + last.len == pos =>
+            {
+                last.len += piece;
+            }
+            _ => chunks.push(Chunk {
+                server,
+                slot: server_slot,
+                server_offset,
+                file_offset: pos,
+                len: piece,
+            }),
+        }
+        pos += piece;
+    }
+    chunks
+}
+
+/// Stripe sizes from 1 upward: small odd sizes, powers of two up to
+/// 2^20, and arbitrary sizes up to 300 000.
+fn stripe_size() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..8, (0u32..21).prop_map(|e| 1u64 << e), 1u64..300_000]
+}
+
+/// Server lists of 1–8 entries drawn from 4 servers, so a layout may name
+/// the same server in several slots, consecutive ones included.
+fn servers() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        (1usize..9).prop_map(|n| (0..n).collect::<Vec<_>>()),
+        proptest::collection::vec(0usize..4, 1..9),
+    ]
+}
+
+/// An offset on a stripe boundary, one byte either side of one, or
+/// anywhere, from a `(unit, skew, free, on_boundary)` draw.
+fn offset_near_boundary(
+    stripe: u64,
+    (unit, skew, free, on_boundary): (u64, i64, u64, bool),
+) -> u64 {
+    if on_boundary {
+        (unit * stripe).saturating_add_signed(skew)
+    } else {
+        free
+    }
+}
+
+/// A request length from a `(kind, raw)` draw: zero, a few bytes, or up to
+/// 40 stripe units (at most 3 MB).
+fn request_len(stripe: u64, (kind, raw): (u8, u64)) -> u64 {
+    match kind {
+        0 => 0,
+        1 => 1 + raw % 3,
+        _ => 1 + raw % (stripe * 40).min(3_000_000),
+    }
 }
 
 proptest! {
@@ -64,6 +141,28 @@ proptest! {
         let first: u64 = l.map(offset, a).iter().map(|c| c.len).sum();
         let second: u64 = l.map(offset + a, b).iter().map(|c| c.len).sum();
         prop_assert_eq!(combined, first + second);
+    }
+
+    /// The chunk iterator yields exactly the chunks of the per-unit loop
+    /// it replaced, coalescing included.
+    #[test]
+    fn chunks_equal_the_reference_loop(
+        stripe in stripe_size(),
+        servers in servers(),
+        at in (0u64..64, -1i64..=1, 0u64..10_000_000, any::<bool>()),
+        size in (0u8..3, any::<u64>()),
+    ) {
+        let l = StripeLayout::new(stripe, servers);
+        let offset = offset_near_boundary(stripe, at);
+        let len = request_len(stripe, size);
+        let reference = reference_map(&l, offset, len);
+        let mut it = l.chunks(offset, len);
+        for (i, expect) in reference.iter().enumerate() {
+            prop_assert_eq!(it.next(), Some(*expect), "chunk {}", i);
+        }
+        prop_assert_eq!(it.next(), None);
+        prop_assert_eq!(it.next(), None);
+        prop_assert_eq!(l.map(offset, len), reference);
     }
 
     /// Sparse store: write-then-read returns exactly what was written,

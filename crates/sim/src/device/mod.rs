@@ -130,6 +130,7 @@ impl Device {
     /// [`Device::submit`] with a fault-injection service-time multiplier.
     /// A factor of exactly 1.0 bypasses the scaling arithmetic entirely,
     /// so the healthy path stays bit-for-bit identical to `submit`.
+    #[inline]
     pub fn submit_scaled(&mut self, arrival: Nanos, req: DeviceReq, slow: f64) -> Grant {
         let queued = self.queue.stats().last_completion > arrival;
         let mut ctx = ServiceCtx {

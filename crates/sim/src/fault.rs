@@ -183,6 +183,7 @@ impl FaultInjector {
     /// Service-time multiplier for `server` at instant `at`: the product
     /// of all open slowdown windows (exactly 1.0 when none are open, so
     /// callers can skip scaling entirely).
+    #[inline]
     pub fn slowdown(&self, server: usize, at: Nanos) -> f64 {
         if self.plan.slowdowns.is_empty() {
             return 1.0;
@@ -205,6 +206,7 @@ impl FaultInjector {
     /// windows that start by `at` form a prefix of the start-sorted index;
     /// the largest end in that prefix lies past `at` exactly when some
     /// window contains `at`, and then it is the latest such end.
+    #[inline]
     pub fn outage_until(&self, server: usize, at: Nanos) -> Option<Nanos> {
         let windows = self.outages.get(server)?;
         let opened = windows.partition_point(|&(start, _)| start <= at);
@@ -221,6 +223,7 @@ impl FaultInjector {
     /// Draw: does this grant on `server`'s device complete with a
     /// transient error? Never touches the RNG when the effective rate is
     /// zero.
+    #[inline]
     pub fn device_error(&mut self, server: usize) -> bool {
         let mut rate = self.plan.device_error_rate;
         for &(s, extra) in &self.plan.device_error_hotspots {
@@ -237,6 +240,7 @@ impl FaultInjector {
 
     /// Draw: does this payload transfer lose a packet? Never touches the
     /// RNG when the rate is zero.
+    #[inline]
     pub fn link_lost(&mut self) -> bool {
         let lost = self.plan.link_loss_rate > 0.0 && self.rng.unit() < self.plan.link_loss_rate;
         if lost {

@@ -83,6 +83,7 @@ impl WakeHeap {
     }
 
     /// The earliest scheduled instant, if anything is scheduled.
+    #[inline]
     pub fn min_time(&self) -> Option<Nanos> {
         self.entries.first().map(|e| e.time)
     }
@@ -97,6 +98,7 @@ impl WakeHeap {
 
     /// Schedule a wake. Panics if `idx` already has one (use
     /// [`WakeHeap::decrease_key`] to reschedule) or is out of range.
+    #[inline]
     pub fn push(&mut self, time: Nanos, seq: u64, idx: usize) {
         assert!(
             self.pos[idx] == ABSENT,
@@ -113,6 +115,7 @@ impl WakeHeap {
     }
 
     /// Remove and return the earliest wake (ties by `seq`).
+    #[inline]
     pub fn pop(&mut self) -> Option<WakeEntry> {
         let top = *self.entries.first()?;
         self.pos[top.idx] = ABSENT;

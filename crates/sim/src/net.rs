@@ -60,6 +60,7 @@ impl Link {
     /// Transfer `bytes` arriving at the NIC at `arrival`. Returns the
     /// instant the last byte is delivered at the far end: queueing +
     /// serialization, then latency.
+    #[inline]
     pub fn transfer(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
         if self.memo.0 != bytes {
             self.memo = (bytes, self.serialization(bytes));
@@ -141,6 +142,7 @@ impl Switch {
 
     /// Forward `bytes` through the backplane at `arrival`; returns egress
     /// completion.
+    #[inline]
     pub fn forward(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
         // Decay the load estimate. Arrivals may be slightly out of order
         // (bounded path skew); anchor decay monotonically.

@@ -81,6 +81,7 @@ impl FifoResource {
     /// Arrivals must be issued in nondecreasing time order (the engine's
     /// wake ordering provides this); violating it would silently model an
     /// impossible preemption, so it is checked.
+    #[inline]
     pub fn acquire(&mut self, arrival: Nanos, service: Dur) -> Grant {
         let start = arrival.max(self.busy_until);
         let end = start + service;
@@ -93,6 +94,7 @@ impl FifoResource {
     }
 
     /// Serve a request and attribute `bytes` to it in the stats.
+    #[inline]
     pub fn acquire_bytes(&mut self, arrival: Nanos, service: Dur, bytes: u64) -> Grant {
         let g = self.acquire(arrival, service);
         self.stats.bytes += bytes;
@@ -141,6 +143,7 @@ impl MultiChannel {
     }
 
     /// Serve a request on the earliest-free channel.
+    #[inline]
     pub fn acquire(&mut self, arrival: Nanos, service: Dur) -> Grant {
         let idx = self
             .channels

@@ -35,11 +35,13 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
     /// Uniform integer in `[0, n)`. `n` must be nonzero.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         self.inner.gen_range(0..n)
     }
@@ -51,6 +53,7 @@ impl SimRng {
     /// benchmark workload and ≈15 % of `parallel-io` (same draws with
     /// cheap math in their place, 2-vCPU x86-64 Linux). Bit-exact table
     /// versions of the chain measured no faster than glibc's.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         // Guard against ln(0).
         let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
@@ -59,6 +62,7 @@ impl SimRng {
     }
 
     /// Multiplicative log-normal factor with median 1 and shape `sigma`.
+    #[inline]
     pub fn lognormal_factor(&mut self, sigma: f64) -> f64 {
         (sigma * self.standard_normal()).exp()
     }
@@ -81,6 +85,7 @@ impl Jitter {
     pub const DEFAULT: Jitter = Jitter { sigma: 0.03 };
 
     /// Apply the jitter to a nominal duration.
+    #[inline]
     pub fn apply(&self, nominal: Dur, rng: &mut SimRng) -> Dur {
         if self.sigma == 0.0 || nominal.is_zero() {
             return nominal;

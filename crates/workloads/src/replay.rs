@@ -29,7 +29,9 @@ pub struct Replay {
 impl Replay {
     /// Distill the application layer of a trace. File ids are compacted
     /// into a dense index space; think times below `min_think_ns` are
-    /// dropped (back-to-back ops).
+    /// dropped (back-to-back ops). Every record's `offset + bytes` must fit
+    /// in a `u64`; the `WorkloadSpec::Replay` build refuses a trace where
+    /// one does not.
     pub fn from_trace(trace: &Trace) -> Replay {
         const MIN_THINK_NS: u64 = 1_000;
         // Dense file index mapping and size inference.

@@ -267,8 +267,26 @@ impl WorkloadSpec {
                 }))
             }
             WorkloadSpec::Replay { path } => {
-                let trace = bps_trace::format::load_path(Path::new(&path))
-                    .map_err(|e| BuildError(format!("cannot load trace `{path}`: {e}")))?;
+                let refuse = |why: &dyn fmt::Display| {
+                    BuildError(format!("cannot load trace `{path}`: {why}"))
+                };
+                let trace =
+                    bps_trace::format::load_path(Path::new(&path)).map_err(|e| refuse(&e))?;
+                // An extent past byte 2^64 - 1 names no byte of any file:
+                // its wrapped end would shrink the inferred file size and
+                // slip under the file systems' EOF checks.
+                let wraps = trace
+                    .records()
+                    .iter()
+                    .enumerate()
+                    .find(|(_, r)| r.offset.checked_add(r.bytes).is_none());
+                if let Some((i, r)) = wraps {
+                    return Err(refuse(&format_args!(
+                        "record {i} (offset {}, {} bytes) ends past the last \
+                         byte offset a file can have",
+                        r.offset, r.bytes
+                    )));
+                }
                 Ok(Box::new(Replay::from_trace(&trace)))
             }
         }
